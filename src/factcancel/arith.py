@@ -11,7 +11,6 @@ number of decimal digits (default 50).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable
 
@@ -29,8 +28,12 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse the wire form "p/q" or "p" into an exact rational."""
-    return Fraction(text.strip())
+    """Parse the wire form "p/q" or "p" into an exact rational; malformed
+    text and a zero denominator both raise ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rat(x: Fraction) -> str:
@@ -72,21 +75,68 @@ def is_prime(n: int) -> bool:
     return True
 
 
+#: trial divisors tried before Pollard-Brent rho; they cover every b < 101**2
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def _brent_factor(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard rho with Brent's
+    cycle detection and batched gcds (Brent, BIT 20, 1980).  The polynomial
+    x^2 + c runs over c = 1, 2, ... until one splits n, so the result is
+    deterministic."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            i = 0
+            while i < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - i)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                i += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def prime_factors(b: int) -> list[int]:
-    """Distinct prime divisors of b >= 1, ascending."""
+    """Distinct prime divisors of b >= 1, ascending.
+
+    Trial division by the primes below 100 settles every small denominator;
+    a larger cofactor is split by Pollard-Brent rho down to factors that
+    is_prime accepts.
+    """
     if b < 1:
         raise ValueError("b must be >= 1")
     out = []
-    d = 2
-    while d * d <= b:
-        if b % d == 0:
-            out.append(d)
-            while b % d == 0:
-                b //= d
-        d += 1 if d == 2 else 2
-    if b > 1:
-        out.append(b)
-    return out
+    for p in _TRIAL_PRIMES:
+        if p * p > b:
+            break
+        if b % p == 0:
+            out.append(p)
+            while b % p == 0:
+                b //= p
+    stack = [b] if b > 1 else []
+    while stack:
+        n = stack.pop()
+        if n < 101 * 101 or is_prime(n):
+            out.append(n)
+        else:
+            d = _brent_factor(n)
+            stack += [d, n // d]
+    return sorted(set(out))
 
 
 def primes_upto(n: int) -> list[int]:
@@ -160,39 +210,33 @@ def lcm_upto(k: int) -> int:
     return out
 
 
-def _digit_sum(n: int, p: int) -> int:
-    s = 0
-    while n:
-        s += n % p
-        n //= p
-    return s
-
-
-@lru_cache(maxsize=None)
-def _max_digit_sum_tables(p: int, limit: int) -> tuple[list[int], list[int]]:
-    """(best2, best3) where bestj[n] = max of base-p digit sums of a
-    decomposition of n into j non-negative parts."""
-    s = [_digit_sum(n, p) for n in range(limit + 1)]
-    best2 = [0] * (limit + 1)
-    for n in range(limit + 1):
-        best2[n] = max(s[a] + s[n - a] for a in range(n // 2 + 1))
-    best3 = [0] * (limit + 1)
-    for n in range(limit + 1):
-        best3[n] = max(s[a] + best2[n - a] for a in range(n + 1))
-    return best2, best3
-
-
 def g_k_exponent(p: int, k: int) -> int:
     """Exponent of the prime p in g_k, i.e. the maximum over k0+k1+k2 = k of
-    tau_p(k) - tau_p(k0) - tau_p(k1) - tau_p(k2).
+    v_p(k!/(k0! k1! k2!)) = tau_p(k) - tau_p(k0) - tau_p(k1) - tau_p(k2).
 
-    Uses tau_p(n) = (n - S_p(n))/(p-1), so the maximum equals
-    (max digit-sum decomposition - S_p(k)) / (p-1).
+    By Kummer's theorem that valuation is the sum of the base-p carries of
+    the addition k0 + k1 + k2, each carry c in {0, 1, 2}.  A digit DP takes
+    the most carries over all splits: at a digit d of k, carry c goes to c'
+    when the digit sum d + p c' - c lies in [0, 3(p-1)], and the final carry
+    must be 0.  Cost O(log_p k), with no table and no cache.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    _, best3 = _max_digit_sum_tables(p, k)
-    return (best3[k] - _digit_sum(k, p)) // (p - 1)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    top = 3 * (p - 1)
+    best = [0, -1, -1]  # best[c]: most carries so far with carry c; -1 unreachable
+    while k:
+        k, d = divmod(k, p)
+        nxt = [-1, -1, -1]
+        for c, e in enumerate(best):
+            if e < 0:
+                continue
+            for c2 in range(3):
+                if 0 <= d + p * c2 - c <= top and e + c2 > nxt[c2]:
+                    nxt[c2] = e + c2
+        best = nxt
+    return best[0]
 
 
 def g_k(k: int) -> int:

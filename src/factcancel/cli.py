@@ -11,6 +11,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import factorial
 
 from . import arith, catalog, constcoef, falling, fuchs, hyper, matfun
 from .errors import (
@@ -230,7 +231,7 @@ def _identity_checks(seed: int):
                     "partition",
                     lambda A=A, n=n: constcoef.lemma17_rhs(A, n)
                     == constcoef.script_A_n(A, n).scale(
-                        Fraction(1, _factorial(n))
+                        Fraction(1, factorial(n))
                     ),
                 )
             )
@@ -242,13 +243,6 @@ def _identity_checks(seed: int):
             ("partial-fraction", lambda a=n1, b=n2: hyper.partial_fraction_identity(a, b))
         )
     return checks
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _divisibility_checks(seed: int):
@@ -322,13 +316,29 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return n
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="factcancel")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--json", action="store_true")
-        p.add_argument("--precision", type=int, default=arith.DEFAULT_DIGITS)
+        p.add_argument("--precision", type=positive_int, default=arith.DEFAULT_DIGITS)
         p.add_argument("--parallel", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
 
@@ -370,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", action="append")
         p.add_argument("--file")
         if name in ("series", "system"):
-            p.add_argument("--N", type=int, default=20)
+            p.add_argument("--N", type=nonnegative_int, default=20)
         if name == "lemma11":
             p.add_argument("--k", type=int, default=20)
         if name == "theorem6":
@@ -401,10 +411,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, FactCancelError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-def entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

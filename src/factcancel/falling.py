@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Iterator
 
 import mpmath
 
@@ -51,26 +52,31 @@ def delta_poly_coeffs(n: int) -> UniPoly:
     return p
 
 
-def delta_derivatives(lam: Fraction, n: int, r: int) -> list[Fraction]:
-    """The values Delta_n^{(j)}(lambda)/j! for j = 0..r-1.
+def _taylor_rows(lam: Fraction, k: int, r: int) -> Iterator[list[Fraction]]:
+    """Yield delta_derivatives(lam, n, r) for n = 0, 1, ..., k in turn.
 
-    These are the first r Taylor coefficients of Delta_n at lambda.  The
-    recursion Delta_n(x) = Delta_{n-1}(x)(x-n+1)/n translates, with
-    x - n + 1 = (lam - n + 1) + (x - lam), into an O(n r) update of the
-    truncated Taylor vector; no full polynomial expansion is needed.
+    The recursion Delta_n(x) = Delta_{n-1}(x)(x-n+1)/n translates, with
+    x - n + 1 = (lam - n + 1) + (x - lam), into an O(r) update of the
+    truncated Taylor vector, so the whole run costs O(k r).
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     v = [Fraction(1)] + [Fraction(0)] * (r - 1)
-    for m in range(1, n + 1):
+    yield v
+    for m in range(1, k + 1):
         c = lam - m + 1
-        nxt = [Fraction(0)] * r
-        for j in range(r):
-            acc = v[j] * c
-            if j:
-                acc += v[j - 1]
-            nxt[j] = acc / m
-        v = nxt
+        v = [(v[j] * c + (v[j - 1] if j else 0)) / m for j in range(r)]
+        yield v
+
+
+def delta_derivatives(lam: Fraction, n: int, r: int) -> list[Fraction]:
+    """The values Delta_n^{(j)}(lambda)/j! for j = 0..r-1.
+
+    These are the first r Taylor coefficients of Delta_n at lambda, the last
+    row of _taylor_rows; no full polynomial expansion is needed.
+    """
+    for v in _taylor_rows(lam, n, r):
+        pass
     return v
 
 
@@ -87,10 +93,10 @@ def scalar_bound(b: int, k: int, r: int) -> int:
 
 def psi_scalar(lam: Fraction, k: int, r: int = 1) -> int:
     """Measured lcm of the denominators of Delta_n^{(j)}(lam)/j!,
-    j < r, n <= k."""
+    j < r, n <= k, from one O(k r) pass of the Taylor rows."""
     out = 1
-    for n in range(k + 1):
-        for v in delta_derivatives(lam, n, r):
+    for row in _taylor_rows(lam, k, r):
+        for v in row:
             out = lcm(out, v.denominator)
     return out
 
@@ -110,19 +116,21 @@ def certify_scalar(
 
 
 def certify_scalar_sweep(lam: Fraction, k_max: int, r: int = 1) -> list[bool]:
-    """Divisibility verdicts for every k = 1..k_max, computed incrementally."""
+    """Divisibility verdicts for every k = 1..k_max.
+
+    psi_k grows by the row of n = k, so one O(k_max r) pass of the Taylor
+    rows serves every k.
+    """
     b = arith.denominator(lam)
+    primes = arith.prime_factors(b)
     psi = 1
     d_k = 1
-    ppp = 1
-    primes = arith.prime_factors(b)
     verdicts = []
-    # start from the n=0..1 contribution, then extend one n per k
-    for v in delta_derivatives(lam, 0, r):
-        psi = lcm(psi, v.denominator)
-    for k in range(1, k_max + 1):
-        for v in delta_derivatives(lam, k, r):
+    for k, row in enumerate(_taylor_rows(lam, k_max, r)):
+        for v in row:
             psi = lcm(psi, v.denominator)
+        if k == 0:
+            continue
         d_k = lcm(d_k, k)
         ppp = 1
         for p in primes:

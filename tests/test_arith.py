@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factcancel import arith
@@ -41,6 +41,33 @@ def test_prime_factors():
     assert arith.prime_factors(30) == [2, 3, 5]
 
 
+def _trial_division_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_prime_factors_hostile_denominator():
+    # trial division needs ~10^9 steps here; Pollard-Brent rho a few 10^4
+    assert arith.prime_factors(998244353 * 1000000007) == [998244353, 1000000007]
+    assert arith.prime_factors(6 * 101**2 * 1000003) == [2, 3, 101, 1000003]
+
+
+# the examples leave a composite cofactor for Pollard-Brent rho, squares included
+@example(101 * 103)
+@example(991 * 997)
+@example(997**2)
+@example(2**5 * 101**2)
+@given(st.integers(1, 10**6))
+def test_prime_factors_match_trial_division(n):
+    assert arith.prime_factors(n) == _trial_division_factors(n)
+
+
 @given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 400))
 def test_tau_p_is_factorial_valuation(p, k):
     fact = math.factorial(k)
@@ -75,9 +102,39 @@ def test_chi_values():
         assert arith.chi(1) == 0
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13, 21, 34, 55])
+@pytest.mark.parametrize("k", list(range(41)) + [55])
 def test_g_k_matches_enumeration(k):
     assert arith.g_k(k) == arith.g_k_by_enumeration(k)
+
+
+def test_g_k_exponent_matches_brute_force():
+    # max of tau_p(k) - tau_p(k0) - tau_p(k1) - tau_p(k2) over k0 + k1 + k2 = k
+    for p in arith.primes_upto(60):
+        tau = [arith.tau_p(p, n) for n in range(61)]
+        for k in range(p, 61):
+            brute = max(
+                tau[k] - tau[k0] - tau[k1] - tau[k - k0 - k1]
+                for k0 in range(k + 1)
+                for k1 in range(k - k0 + 1)
+            )
+            assert arith.g_k_exponent(p, k) == brute, (p, k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 999983])
+def test_g_k_exponent_huge_k(p):
+    k = 10**12
+    e = arith.g_k_exponent(p, k)
+    # floor(log_p k), computed exactly
+    log_floor, q = 0, p
+    while q <= k:
+        log_floor += 1
+        q *= p
+    assert 0 <= e <= 2 * log_floor
+
+
+def test_g_k_exponent_rejects_non_prime():
+    with pytest.raises(NotPrime):
+        arith.g_k_exponent(4, 10)
 
 
 def test_g_k_exponent_bound():

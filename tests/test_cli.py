@@ -32,6 +32,24 @@ def test_certify_scalar_malformed(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "scalar", "--lambda", "1/0", "--k", "50"],
+        ["certify", "scalar", "--lambda", "1/2", "--k", "10", "--precision", "0"],
+        ["certify", "scalar", "--lambda", "1/2", "--k", "10", "--precision=-3"],
+        ["hyper", "series", "--alpha", "1/3", "--beta", "1/2", "--N=-2"],
+    ],
+    ids=["zero-denominator", "precision-zero", "precision-negative", "negative-N"],
+)
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip()
+    assert "Traceback" not in err
+
+
 def test_certify_matrix_idempotent_example(tmp_path, capsys):
     f = tmp_path / "m.json"
     f.write_text(catalog.IDEMPOTENT_HALF.to_json())

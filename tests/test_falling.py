@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -83,11 +83,23 @@ def test_certify_scalar_derivatives(r):
 
 
 def test_certify_scalar_sweep_consistent():
-    lam = Fraction(5, 6)
-    sweep = falling.certify_scalar_sweep(lam, 25, 2)
-    assert len(sweep) == 25
-    assert all(sweep)
-    assert sweep[-1] == falling.certify_scalar(lam, 25, 2).divides
+    K = 30
+    for lam, r in [(Fraction(5, 6), 2), (Fraction(1, 2), 1), (Fraction(-7, 10), 3), (Fraction(3), 2)]:
+        sweep = falling.certify_scalar_sweep(lam, K, r)
+        assert len(sweep) == K
+        assert all(sweep)
+        for k in range(1, K + 1):
+            assert sweep[k - 1] == falling.certify_scalar(lam, k, r).divides, (lam, r, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rats, st.integers(0, 20), st.integers(1, 4))
+def test_psi_scalar_matches_shift_oracle(lam, k, r):
+    want = 1
+    for n in range(k + 1):
+        for v in falling.delta_derivatives_via_shift(lam, n, r):
+            want = lcm(want, v.denominator)
+    assert falling.psi_scalar(lam, k, r) == want
 
 
 def test_certificate_json_roundtrip():
