@@ -158,11 +158,6 @@ def prime_pi(n: int) -> int:
     return len(primes_upto(n))
 
 
-def denominator(x: Fraction) -> int:
-    """Smallest positive b with b*x an integer."""
-    return x.denominator
-
-
 def common_denominator(xs: Iterable[Fraction]) -> int:
     """lcm of the denominators of xs; 1 for the empty collection."""
     out = 1
@@ -258,13 +253,6 @@ def g_k_by_enumeration(k: int) -> int:
             k2 = k - k0 - k1
             out = lcm(out, fk // (factorial(k0) * factorial(k1) * factorial(k2)))
     return out
-
-
-def totient(b: int) -> int:
-    """Euler's phi: the count of 1 <= n <= b coprime to b."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    return sum(1 for n in range(1, b + 1) if gcd(n, b) == 1)
 
 
 def rho_exact(b: int) -> Fraction:

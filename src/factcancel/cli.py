@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
 
@@ -84,9 +83,7 @@ def cmd_certify_matrix(args) -> int:
 
 def cmd_certify_fuchsian(args) -> int:
     system = fuchs.FuchsianSystem.from_json(_read_file(args.file))
-    cert = fuchs.certify_system(
-        system, args.k, degree_cap=args.degree_cap, digits=args.precision
-    )
+    cert = fuchs.certify_system(system, args.k, digits=args.precision)
     extra = {"no_bound": cert.bound_k is None}
     _print_cert(cert, args.json, extra)
     if cert.bound_k is None:
@@ -282,15 +279,10 @@ def cmd_verify(args) -> int:
         checks += _divisibility_checks(args.seed)
     if args.self_test_fail:
         checks.append(("self-test", lambda: False))
-    workers = max(1, args.parallel)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: c[1](), checks))
-    else:
-        results = [fn() for _, fn in checks]
     tally = {}
     first_failure = None
-    for (name, _), ok in zip(checks, results):
+    for name, fn in checks:
+        ok = fn()
         passed, total = tally.get(name, (0, 0))
         tally[name] = (passed + (1 if ok else 0), total + 1)
         if not ok and first_failure is None:
@@ -336,11 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="factcancel")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, precision=True):
         p.add_argument("--json", action="store_true")
-        p.add_argument("--precision", type=positive_int, default=arith.DEFAULT_DIGITS)
-        p.add_argument("--parallel", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        if precision:
+            p.add_argument("--precision", type=positive_int, default=arith.DEFAULT_DIGITS)
 
     cert = sub.add_parser("certify")
     csub = cert.add_subparsers(dest="target", required=True)
@@ -361,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("fuchsian")
     p.add_argument("--file", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--degree-cap", dest="degree_cap", type=int, default=None)
     common(p)
     p.set_defaults(fn=cmd_certify_fuchsian)
 
@@ -386,13 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "theorem6":
             p.add_argument("--xi", required=True)
             p.add_argument("--epsilon", required=True)
-        common(p)
+        common(p, precision=name in ("lemma11", "theorem6"))
         p.set_defaults(fn=cmd_hyper)
 
     p = sub.add_parser("verify")
     p.add_argument("--suite", choices=("identities", "divisibility", "all"), default="all")
     p.add_argument("--self-test-fail", dest="self_test_fail", action="store_true")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    common(p, precision=False)
     p.set_defaults(fn=cmd_verify)
     return ap
 

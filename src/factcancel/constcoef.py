@@ -15,13 +15,11 @@ from math import comb, factorial, lcm
 
 import mpmath
 
-from . import arith
+from . import arith, falling
 from .certificate import CancellationCertificate, make_certificate
 from .errors import NotPrime, RepeatedRootMinPoly
 from .matfun import MatQ, matrix_delta, min_poly, spectral
 from .poly import MultiPoly
-
-_ZERO = Fraction(0)
 
 
 class LinearDiffOp:
@@ -103,12 +101,6 @@ class LinearDiffOp:
         out = MultiPoly.zero(self.m)
         for mu, c in self.terms.items():
             out = out + c * poly.partial_multi(mu)
-        return out
-
-    def coeff_denominator(self) -> int:
-        out = 1
-        for c in self.terms.values():
-            out = lcm(out, c.coeff_denominator())
         return out
 
 
@@ -281,6 +273,28 @@ def lemma19_inequality(s, p: int) -> bool:
     return lhs <= arith.tau_p(p, n)
 
 
+def _induced_matrices(A: MatQ, q: int, degree_cap: int):
+    """Yield, for d = 1..degree_cap, the integer matrix S_d of q[A] on the
+    degree-d monomials: column y^e holds sum_{l,j} q A_{lj} e_l y^{e-u_l+u_j}."""
+    m = A.size
+    qA = [[int(a * q) for a in row] for row in A.rows]
+    for d in range(1, degree_cap + 1):
+        basis = [e for e in _monomials_upto(m, d) if sum(e) == d]
+        index = {e: i for i, e in enumerate(basis)}
+        S = [[0] * len(basis) for _ in basis]
+        for col, e in enumerate(basis):
+            for l in range(m):
+                if not e[l]:
+                    continue
+                for j in range(m):
+                    if qA[l][j]:
+                        f = list(e)
+                        f[l] -= 1
+                        f[j] += 1
+                        S[index[tuple(f)]][col] += qA[l][j] * e[l]
+        yield S
+
+
 def certify_constcoef(
     A: MatQ, k: int, degree_cap: int = 4, digits: int = arith.DEFAULT_DIGITS
 ) -> CancellationCertificate:
@@ -288,9 +302,11 @@ def certify_constcoef(
     monomials of degree <= degree_cap, n <= k; the target divisor is
     (t1 t2)^k b^k prod_{p|b} p^{tau_p(k)}.
 
-    Requires rational spectrum and squarefree minimal polynomial; degrees
-    above degree_cap are untested (each [A]-type operator preserves degree,
-    so the check is complete degree by degree).
+    [A] preserves degree, so on the degree-d monomials (1/n!) A_n is
+    Delta_n(S_d/q) for the integer matrix S_d of q[A]; psi_k is the lcm of
+    the falling.delta_steps denominators over d = 1..degree_cap (constants
+    are killed by [A]).  Requires rational spectrum and squarefree minimal
+    polynomial; degrees above degree_cap are untested.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -300,19 +316,11 @@ def certify_constcoef(
         raise RepeatedRootMinPoly("minimal polynomial has a repeated root")
     b = data.b
     t1t2 = data.t1 * data.t2
-    m = A.size
-    monomials = [MultiPoly.monomial(m, e) for e in _monomials_upto(m, degree_cap)]
-    base = bracket_op(A)
     psi = 1
-    # iterate images p_n = ([A]-n+1) p_{n-1} instead of composing operators;
-    # [A] preserves degree so this stays cheap
-    for mono in monomials:
-        p = mono
-        nfact = 1
-        for n in range(1, k + 1):
-            p = base.apply(p) - p.scale(n - 1)
-            nfact *= n
-            psi = lcm(psi, p.scale(Fraction(1, nfact)).coeff_denominator())
+    q = A.entry_denominator()
+    for S in _induced_matrices(A, q, degree_cap):
+        for _, D in falling.delta_steps(S, q, k):
+            psi = lcm(psi, D)
     bound = t1t2**k * b**k * arith.prime_power_product(b, k)
     with mpmath.workdps(digits):
         const = t1t2 * b * mpmath.e ** arith.chi(b, digits)

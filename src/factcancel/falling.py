@@ -4,13 +4,16 @@
 polynomial Delta_n(lambda) = <lambda>_n / n!, its scaled derivatives
 Delta_n^{(j)}(lambda)/j!, and exact per-k certificates: the measured common
 denominator psi_k of all these values for n <= k divides
-b^k d_k^{r-1} prod_{p|b} p^{tau_p(k)} with b = den(lambda).
+b^k d_k^{r-1} prod_{p|b} p^{tau_p(k)} with b = den(lambda).  delta_steps,
+the fraction-free Delta_n table of an integer matrix, is the one recurrence
+behind the scalar, matrix and constant-coefficient psi_k measurements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterator
 
 import mpmath
@@ -52,32 +55,55 @@ def delta_poly_coeffs(n: int) -> UniPoly:
     return p
 
 
-def _taylor_rows(lam: Fraction, k: int, r: int) -> Iterator[list[Fraction]]:
-    """Yield delta_derivatives(lam, n, r) for n = 0, 1, ..., k in turn.
+def delta_steps(
+    A: list[list[int]], q: int, k: int
+) -> Iterator[tuple[list[list[int]], int]]:
+    """Yield (N_n, D_n) with Delta_n(A/q) = N_n / D_n for n = 0, 1, ..., k.
 
-    The recursion Delta_n(x) = Delta_{n-1}(x)(x-n+1)/n translates, with
-    x - n + 1 = (lam - n + 1) + (x - lam), into an O(r) update of the
-    truncated Taylor vector, so the whole run costs O(k r).
+    A is a square integer matrix (list of rows) and q >= 1.  The step
+    Delta_n = Delta_{n-1} (A/q - (n-1)E) / n keeps one common denominator:
+    N <- N (A - (n-1)q E), D <- D n q, then both are divided by
+    g = gcd(D, content(N)) (the common-denominator idea of Bareiss'
+    fraction-free elimination).  After that division D_n is exactly the lcm
+    of the entry denominators of Delta_n(A/q).  The product visits only the
+    nonzero entries of A, so a step costs O(m nnz(A)) <= O(m^3) integer
+    operations for an m x m matrix.
     """
+    m = len(A)
+    cols = [[(i, A[i][j]) for i in range(m) if A[i][j]] for j in range(m)]
+    N = [[int(i == j) for j in range(m)] for i in range(m)]
+    D = 1
+    yield N, D
+    for n in range(1, k + 1):
+        s = (n - 1) * q
+        N = [
+            [sum(row[i] * a for i, a in col) - s * row[j] for j, col in enumerate(cols)]
+            for row in N
+        ]
+        D *= n * q
+        g = gcd(D, *chain.from_iterable(N))
+        if g > 1:
+            N = [[x // g for x in row] for row in N]
+            D //= g
+        yield N, D
+
+
+def _jordan_steps(lam: Fraction, k: int, r: int):
+    """delta_steps on the integer form of J_r(lam): Delta_n(J_r(lam)) is the
+    upper-triangular Toeplitz matrix of Delta_n^{(j)}(lam)/j!, j < r."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    v = [Fraction(1)] + [Fraction(0)] * (r - 1)
-    yield v
-    for m in range(1, k + 1):
-        c = lam - m + 1
-        v = [(v[j] * c + (v[j - 1] if j else 0)) / m for j in range(r)]
-        yield v
+    p, q = lam.numerator, lam.denominator
+    J = [[p if j == i else q if j == i + 1 else 0 for j in range(r)] for i in range(r)]
+    return delta_steps(J, q, k)
 
 
 def delta_derivatives(lam: Fraction, n: int, r: int) -> list[Fraction]:
-    """The values Delta_n^{(j)}(lambda)/j! for j = 0..r-1.
-
-    These are the first r Taylor coefficients of Delta_n at lambda, the last
-    row of _taylor_rows; no full polynomial expansion is needed.
-    """
-    for v in _taylor_rows(lam, n, r):
+    """The values Delta_n^{(j)}(lambda)/j! for j = 0..r-1: the first row of
+    Delta_n(J_r(lambda)); no full polynomial expansion is needed."""
+    for N, D in _jordan_steps(lam, n, r):
         pass
-    return v
+    return [Fraction(x, D) for x in N[0]]
 
 
 def delta_derivatives_via_shift(lam: Fraction, n: int, r: int) -> list[Fraction]:
@@ -93,11 +119,10 @@ def scalar_bound(b: int, k: int, r: int) -> int:
 
 def psi_scalar(lam: Fraction, k: int, r: int = 1) -> int:
     """Measured lcm of the denominators of Delta_n^{(j)}(lam)/j!,
-    j < r, n <= k, from one O(k r) pass of the Taylor rows."""
+    j < r, n <= k, from one delta_steps pass over J_r(lam)."""
     out = 1
-    for row in _taylor_rows(lam, k, r):
-        for v in row:
-            out = lcm(out, v.denominator)
+    for _, D in _jordan_steps(lam, k, r):
+        out = lcm(out, D)
     return out
 
 
@@ -107,7 +132,7 @@ def certify_scalar(
     """Exact certificate: psi_k | b^k d_k^{r-1} prod p^{tau_p(k)}."""
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
-    b = arith.denominator(lam)
+    b = lam.denominator
     psi = psi_scalar(lam, k, r)
     bound = scalar_bound(b, k, r)
     with mpmath.workdps(digits):
@@ -118,17 +143,16 @@ def certify_scalar(
 def certify_scalar_sweep(lam: Fraction, k_max: int, r: int = 1) -> list[bool]:
     """Divisibility verdicts for every k = 1..k_max.
 
-    psi_k grows by the row of n = k, so one O(k_max r) pass of the Taylor
-    rows serves every k.
+    psi_k grows by the denominator of Delta_k(J_r(lam)), so one delta_steps
+    pass serves every k.
     """
-    b = arith.denominator(lam)
+    b = lam.denominator
     primes = arith.prime_factors(b)
     psi = 1
     d_k = 1
     verdicts = []
-    for k, row in enumerate(_taylor_rows(lam, k_max, r)):
-        for v in row:
-            psi = lcm(psi, v.denominator)
+    for k, (_, D) in enumerate(_jordan_steps(lam, k_max, r)):
+        psi = lcm(psi, D)
         if k == 0:
             continue
         d_k = lcm(d_k, k)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
+from typing import Iterator
 
 import mpmath
 
@@ -185,28 +186,23 @@ class FuchsianSystem:
 
     @staticmethod
     def from_json(s: str) -> "FuchsianSystem":
+        """Parse the to_json form; "m" may be omitted when there is a
+        residue, and is then its size (minus 1 when augmented)."""
         d = json.loads(s)
+        residues = tuple(MatQ.from_lists(A) for A in d["residues"])
+        augmented = d.get("augmented", False)
+        if "m" in d:
+            m = d["m"]
+        elif residues:
+            m = residues[0].size - 1 if augmented else residues[0].size
+        else:
+            raise ValueError('"m" is required when there are no residues')
         return FuchsianSystem(
-            m=d["m"],
+            m=m,
             gammas=tuple(arith.parse_rat(g) for g in d["gammas"]),
-            residues=tuple(MatQ.from_lists(A) for A in d["residues"]),
-            augmented=d.get("augmented", False),
+            residues=residues,
+            augmented=augmented,
         )
-
-
-def q_matrix(system: FuchsianSystem):
-    """Q(z) = sum A_i/(z - gamma_i) as a matrix of exact rational functions."""
-    from .poly import RatFun
-
-    n = system.size
-    out = [[RatFun(UniPoly.zero()) for _ in range(n)] for _ in range(n)]
-    for g, A in zip(system.gammas, system.residues):
-        den = UniPoly((-g, 1))
-        for i in range(n):
-            for j in range(n):
-                if A[i, j]:
-                    out[i][j] = out[i][j] + RatFun(UniPoly.constant(A[i, j]), den)
-    return out
 
 
 def _tq_poly(system: FuchsianSystem) -> PolyMat:
@@ -221,23 +217,32 @@ def _tq_poly(system: FuchsianSystem) -> PolyMat:
     return acc
 
 
+def _scaled_qn(system: FuchsianSystem, n_max: int) -> Iterator[PolyMat]:
+    """Yield R_n = T^n(z) Q^[n](z) / n! for n = 0..n_max, by the
+    cleared-denominator form of Q^[n] = (Q^[n-1])' + Q^[n-1] Q:
+    R_n = (T R_{n-1}' - (n-1) T' R_{n-1} + R_{n-1} TQ) / n, R_0 = E."""
+    T = system.t_poly()
+    Tp = T.derivative()
+    TQ = _tq_poly(system)
+    R = PolyMat.identity(system.size)
+    yield R
+    for n in range(1, n_max + 1):
+        R = (R.derivative().scale_poly(T) - R.scale_poly(Tp.scale(n - 1)) + R @ TQ).scale(
+            Fraction(1, n)
+        )
+        yield R
+
+
 def qn_recurrence(system: FuchsianSystem, n: int) -> PolyMat:
-    """T^n(z) Q^[n](z) by the cleared-denominator form of the recurrence
-    Q^[n] = (Q^[n-1])' + Q^[n-1] Q; identity matrix at n = 0."""
-    return qn_table(system, n)[n]
+    """T^n(z) Q^[n](z); identity matrix at n = 0."""
+    for R in _scaled_qn(system, n):
+        pass
+    return R.scale(factorial(n))
 
 
 def qn_table(system: FuchsianSystem, n_max: int) -> list[PolyMat]:
     """[T^0 Q^[0], ..., T^{n_max} Q^[n_max]]."""
-    T = system.t_poly()
-    Tp = T.derivative()
-    TQ = _tq_poly(system)
-    out = [PolyMat.identity(system.size)]
-    for n in range(1, n_max + 1):
-        P = out[-1]
-        nxt = P.derivative().scale_poly(T) - P.scale_poly(Tp.scale(n - 1)) + P @ TQ
-        out.append(nxt)
-    return out
+    return [R.scale(factorial(n)) for n, R in enumerate(_scaled_qn(system, n_max))]
 
 
 def qn_via_brackets(system: FuchsianSystem, n: int) -> PolyMat:
@@ -420,7 +425,6 @@ def simultaneous_eigenbasis(mats: list[MatQ]) -> MatQ:
 def certify_system(
     system: FuchsianSystem,
     k: int,
-    degree_cap: int = None,
     digits: int = arith.DEFAULT_DIGITS,
 ) -> CancellationCertificate:
     """psi_k = exact lcm over n <= k of coefficient denominators of
@@ -428,20 +432,11 @@ def certify_system(
     certificate also carries the divisor bound
     t1 t2 (q b)^k d_k^{sum(r_i - 1)} prod_{p|b} p^{tau_p(k)}
     (q = product of pole denominators); otherwise it is measurement-only.
-    degree_cap is accepted for interface symmetry; the measurement reads the
-    recurrence matrices directly and needs no basis polynomials.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    T = system.t_poly()
-    Tp = T.derivative()
-    TQ = _tq_poly(system)
     psi = 1
-    R = PolyMat.identity(system.size)
-    for n in range(1, k + 1):
-        R = (R.derivative().scale_poly(T) - R.scale_poly(Tp.scale(n - 1)) + R @ TQ).scale(
-            Fraction(1, n)
-        )
+    for R in _scaled_qn(system, k):
         psi = lcm(psi, R.coeff_denominator())
 
     bound = None

@@ -510,7 +510,8 @@ def matrix_delta(A: MatQ, n: int) -> MatQ:
 
 
 def matrix_delta_table(A: MatQ, k: int) -> list[MatQ]:
-    """[Delta_0(A), ..., Delta_k(A)] computed incrementally."""
+    """[Delta_0(A), ..., Delta_k(A)] computed incrementally in exact
+    rationals; the reference that falling.delta_steps is tested against."""
     out = [MatQ.identity(A.size)]
     for n in range(1, k + 1):
         out.append((out[-1] @ A.shift(-(n - 1))).scale(Fraction(1, n)))
@@ -550,14 +551,16 @@ def matrix_bound(data: SpectralData, k: int) -> int:
 def certify_matrix(
     A: MatQ, k: int, digits: int = arith.DEFAULT_DIGITS
 ) -> CancellationCertificate:
-    """psi_k = exact lcm of entry denominators of Delta_n(A), n <= k;
+    """psi_k = exact lcm of entry denominators of Delta_n(A), n <= k, from
+    one falling.delta_steps pass over q A (q = entry denominator of A);
     certified against matrix_bound."""
     if k < 1:
         raise ValueError("k must be >= 1")
     data = spectral(A)
+    q = A.entry_denominator()
     psi = 1
-    for M in matrix_delta_table(A, k):
-        psi = lcm(psi, M.entry_denominator())
+    for _, D in falling.delta_steps([[int(a * q) for a in r] for r in A.rows], q, k):
+        psi = lcm(psi, D)
     bound = matrix_bound(data, k)
     with mpmath.workdps(digits):
         const = data.b * mpmath.e ** (arith.chi(data.b, digits) + (data.r_max - 1))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .errors import DivideByZeroSeries
 
@@ -177,7 +177,7 @@ class UniPoly:
         ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
         g = 0
         for v in ints:
-            g = gcd_int(g, v)
+            g = gcd(g, v)
         return Fraction(g, den), UniPoly([v // g for v in ints])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
@@ -200,12 +200,6 @@ class UniPoly:
             _, r = r.content_and_primitive()
             a, b = b, r
         return a.monic()
-
-
-def gcd_int(a: int, b: int) -> int:
-    from math import gcd as _g
-
-    return _g(a, b)
 
 
 def differentiate_scaled(f: UniPoly, n: int) -> UniPoly:
@@ -479,17 +473,6 @@ class SeriesQ:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-
-def series_arith(a: SeriesQ, b: SeriesQ, op: str) -> SeriesQ:
-    """Truncated ring operation on two series ("add" | "mul" | "divide")."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "divide":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def delta_series(f: SeriesQ) -> SeriesQ:

@@ -144,10 +144,6 @@ def test_g_k_exponent_bound():
             assert arith.g_k_exponent(p, k) <= 2 * int(math.log(k) / math.log(p))
 
 
-def test_totient():
-    assert [arith.totient(b) for b in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
-
-
 def test_rho_exact_small():
     assert arith.rho_exact(1) == 1
     assert arith.rho_exact(2) == 2
@@ -160,8 +156,3 @@ def test_rho_exact_small():
 def test_common_denominator():
     assert arith.common_denominator([Fraction(1, 2), Fraction(1, 3)]) == 6
     assert arith.common_denominator([]) == 1
-
-
-def test_denominator():
-    assert arith.denominator(Fraction(-7, 10)) == 10
-    assert arith.denominator(Fraction(4)) == 1

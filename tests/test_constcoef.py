@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -179,3 +179,25 @@ def test_certify_rejects_repeated_root():
 def test_certify_catalog(i):
     cert = cc.certify_constcoef(catalog.constcoef_catalog()[i], 15)
     assert cert.divides
+
+
+@pytest.mark.parametrize("i", range(len(catalog.constcoef_catalog())))
+def test_certify_psi_matches_operator_oracle(i):
+    # psi_k from the induced-matrix kernel against the composed operator
+    # (1/n!) A_n applied to every monomial of degree <= cap
+    A = catalog.constcoef_catalog()[i]
+    m = A.size
+    dens = {}  # (n, degree) -> lcm of coefficient denominators
+    for n in range(1, 6):
+        op = cc.script_A_n(A, n).scale(F(1, factorial(n)))
+        for e in cc._monomials_upto(m, 3):
+            image = op.apply(MultiPoly.monomial(m, e))
+            key = (n, sum(e))
+            dens[key] = lcm(dens.get(key, 1), image.coeff_denominator())
+    for k in range(1, 6):
+        for cap in range(4):
+            want = 1
+            for (n, d), den in dens.items():
+                if n <= k and d <= cap:
+                    want = lcm(want, den)
+            assert cc.certify_constcoef(A, k, cap).psi_k == want, (k, cap)

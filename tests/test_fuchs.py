@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -32,6 +33,16 @@ def _rand_poly(rng, deg):
 def test_system_json_roundtrip():
     for system in catalog.fuchsian_catalog()[:4]:
         assert FuchsianSystem.from_json(system.to_json()) == system
+
+
+def test_system_json_without_m_derives_it():
+    A = MatQ([[0, 0, 0], [1, F(1, 2), 0], [0, 0, F(1, 3)]])
+    for system in catalog.fuchsian_catalog()[:4] + [
+        FuchsianSystem(m=2, gammas=(F(0), F(1)), residues=(A, A), augmented=True)
+    ]:
+        d = json.loads(system.to_json())
+        del d["m"]
+        assert FuchsianSystem.from_json(json.dumps(d)) == system
 
 
 def test_system_validation():

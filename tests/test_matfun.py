@@ -166,6 +166,26 @@ def test_matrix_delta_table_incremental():
         assert M == matrix_delta(A, n)
 
 
+int_mats = st.integers(1, 4).flatmap(
+    lambda m: st.lists(
+        st.lists(st.integers(-20, 20), min_size=m, max_size=m), min_size=m, max_size=m
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_mats, st.integers(1, 12))
+def test_delta_steps_matches_fraction_table(A, q):
+    # the fraction-free kernel against the exact-rational reference: same
+    # Delta_n(A/q), and D_n is exactly the lcm of its entry denominators
+    ref = matrix_delta_table(MatQ(A).scale(F(1, q)), 12)
+    steps = list(falling.delta_steps(A, q, 12))
+    assert len(steps) == len(ref)
+    for (N, D), M in zip(steps, ref):
+        assert D == M.entry_denominator()
+        assert MatQ([[F(x, D) for x in row] for row in N]) == M
+
+
 @pytest.mark.parametrize("i", range(len(catalog.matrix_catalog())))
 def test_certify_matrix_divides(i):
     A = catalog.matrix_catalog()[i]
