@@ -27,11 +27,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-def parse_rat(text: str) -> Fraction:
-    """Parse the wire form "p/q" or "p" into an exact rational; malformed
-    text and a zero denominator both raise ValueError."""
+def parse_rat(text) -> Fraction:
+    """Parse the wire form "p/q" or "p" (or a JSON integer) into an exact
+    rational; malformed text and a zero denominator both raise ValueError."""
     try:
-        return Fraction(text.strip())
+        return Fraction(str(text).strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

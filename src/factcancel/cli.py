@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("constcoef")
     p.add_argument("--file", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--degree-cap", dest="degree_cap", type=int, default=4)
+    p.add_argument("--degree-cap", dest="degree_cap", type=positive_int, default=4)
     common(p)
     p.set_defaults(fn=cmd_certify_constcoef)
 

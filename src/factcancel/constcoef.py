@@ -310,6 +310,8 @@ def certify_constcoef(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if degree_cap < 1:
+        raise ValueError("degree_cap must be >= 1")
     data = spectral(A)
     mp = min_poly(A)
     if mp.gcd(mp.derivative()).degree != 0:

@@ -39,14 +39,6 @@ def delta(lam: Fraction, n: int) -> Fraction:
     return out
 
 
-def falling_table(lam: Fraction, k: int) -> list[Fraction]:
-    """values[n] = Delta_n(lam) for n = 0..k."""
-    out = [Fraction(1)]
-    for n in range(1, k + 1):
-        out.append(out[-1] * (lam - n + 1) / n)
-    return out
-
-
 def delta_poly_coeffs(n: int) -> UniPoly:
     """Delta_n(x) as an exact polynomial in x (degree n)."""
     p = UniPoly.one()

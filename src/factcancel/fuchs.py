@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from itertools import chain
+from math import comb, factorial, gcd, lcm
 from typing import Iterator
 
 import mpmath
@@ -27,6 +28,7 @@ from .matfun import (
     char_poly,
     commuting_check,
     kernel_basis,
+    matrix_delta,
     rational_roots_monic,
     spectral,
 )
@@ -54,27 +56,12 @@ class PolyMat:
     def from_matq(A: MatQ) -> "PolyMat":
         return PolyMat([[UniPoly.constant(e) for e in row] for row in A.rows])
 
-    @staticmethod
-    def scalar(p: UniPoly, n: int) -> "PolyMat":
-        return PolyMat([[p if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyMat) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"PolyMat({[list(r) for r in self.rows]!r})"
@@ -87,30 +74,6 @@ class PolyMat:
             ]
         )
 
-    def __sub__(self, other: "PolyMat") -> "PolyMat":
-        return PolyMat(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __matmul__(self, other: "PolyMat") -> "PolyMat":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("incompatible shapes for product")
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = _ZERO
-                for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return PolyMat(out)
-
     def scale_poly(self, p: UniPoly) -> "PolyMat":
         return PolyMat([[e * p for e in row] for row in self.rows])
 
@@ -118,14 +81,8 @@ class PolyMat:
         c = Fraction(c) if not isinstance(c, Fraction) else c
         return PolyMat([[e.scale(c) for e in row] for row in self.rows])
 
-    def derivative(self) -> "PolyMat":
-        return PolyMat([[e.derivative() for e in row] for row in self.rows])
-
     def transpose(self) -> "PolyMat":
         return PolyMat(list(zip(*self.rows)))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
 
     def coeff_denominator(self) -> int:
         out = 1
@@ -186,17 +143,25 @@ class FuchsianSystem:
 
     @staticmethod
     def from_json(s: str) -> "FuchsianSystem":
-        """Parse the to_json form; "m" may be omitted when there is a
-        residue, and is then its size (minus 1 when augmented)."""
+        """Parse the to_json form; "m" may be omitted, and is then the
+        residue size (minus 1 when augmented).  Any other shape, or a
+        system without poles, raises ValueError."""
         d = json.loads(s)
+        if not (
+            isinstance(d, dict)
+            and isinstance(d.get("gammas"), list)
+            and isinstance(d.get("residues"), list)
+            and d["residues"]
+            and type(d.get("m", 0)) is int
+            and type(d.get("augmented", False)) is bool
+        ):
+            raise ValueError(
+                'a Fuchsian system needs non-empty "gammas" and "residues" lists,'
+                ' an integer "m" and a boolean "augmented"'
+            )
         residues = tuple(MatQ.from_lists(A) for A in d["residues"])
         augmented = d.get("augmented", False)
-        if "m" in d:
-            m = d["m"]
-        elif residues:
-            m = residues[0].size - 1 if augmented else residues[0].size
-        else:
-            raise ValueError('"m" is required when there are no residues')
+        m = d.get("m", residues[0].size - int(augmented))
         return FuchsianSystem(
             m=m,
             gammas=tuple(arith.parse_rat(g) for g in d["gammas"]),
@@ -217,32 +182,80 @@ def _tq_poly(system: FuchsianSystem) -> PolyMat:
     return acc
 
 
-def _scaled_qn(system: FuchsianSystem, n_max: int) -> Iterator[PolyMat]:
-    """Yield R_n = T^n(z) Q^[n](z) / n! for n = 0..n_max, by the
-    cleared-denominator form of Q^[n] = (Q^[n-1])' + Q^[n-1] Q:
-    R_n = (T R_{n-1}' - (n-1) T' R_{n-1} + R_{n-1} TQ) / n, R_0 = E."""
+def _content(N) -> int:
+    """gcd of every coefficient of an integer polynomial matrix."""
+    return gcd(*chain.from_iterable(chain.from_iterable(N)))
+
+
+def _scaled_qn(
+    system: FuchsianSystem, n_max: int, start: PolyMat = None
+) -> Iterator[tuple[list, int]]:
+    """Yield (N_n, D_n) with R_n = N_n / D_n for n = 0..n_max, where
+    R_n = T^n (d/dz + Q)^n R_0 / n! acts on rows and R_0 = start (default E,
+    which makes R_n = T^n Q^[n] / n!).
+
+    Fraction-free form of R_n = (T R_{n-1}' - (n-1) T' R_{n-1} + R_{n-1} TQ)/n:
+    with T = t/tau and TQ = P/tau over the integers, the step is
+    N <- t N' - (n-1) t' N + N P, D <- D n tau, then both are divided by
+    gcd(D, content(N)), so D_n is exactly the lcm of the coefficient
+    denominators of R_n.  N_n is a list of rows of integer coefficient
+    lists (lowest degree first), all of one length.
+    """
     T = system.t_poly()
-    Tp = T.derivative()
     TQ = _tq_poly(system)
-    R = PolyMat.identity(system.size)
-    yield R
+    tau = lcm(integer_content_denominator(T), TQ.coeff_denominator())
+    t = [int(c * tau) for c in T.coeffs]
+    P = [[[int(c * tau) for c in e.coeffs] for e in row] for row in TQ.rows]
+    R = PolyMat.identity(system.size) if start is None else start
+    D = R.coeff_denominator()
+    width = max([1] + [len(e.coeffs) for row in R.rows for e in row])
+    N = [[[int(e[d] * D) for d in range(width)] for e in row] for row in R.rows]
+    yield N, D
     for n in range(1, n_max + 1):
-        R = (R.derivative().scale_poly(T) - R.scale_poly(Tp.scale(n - 1)) + R @ TQ).scale(
-            Fraction(1, n)
-        )
-        yield R
+        width += len(t) - 2
+        new = []
+        for row in N:
+            new.append([])
+            for j in range(len(row)):
+                acc = [0] * width
+                for l, e in enumerate(row):
+                    for i, x in enumerate(e):
+                        if not x:
+                            continue
+                        # t N' - (n-1) t' N takes x z^i to sum_a x t_a (i - (n-1)a) z^(i-1+a)
+                        if l == j:
+                            for a, c in enumerate(t):
+                                w = c * (i - (n - 1) * a)
+                                if w:
+                                    acc[i - 1 + a] += x * w
+                        for a, c in enumerate(P[l][j]):
+                            if c:
+                                acc[i + a] += x * c
+                new[-1].append(acc)
+        N = new
+        D *= n * tau
+        g = gcd(D, _content(N))
+        if g > 1:
+            N = [[[x // g for x in e] for e in row] for row in N]
+            D //= g
+        yield N, D
+
+
+def _polymat(N: list, D: int, c: int = 1) -> PolyMat:
+    """The PolyMat c N / D."""
+    return PolyMat([[UniPoly([Fraction(c * x, D) for x in e]) for e in row] for row in N])
 
 
 def qn_recurrence(system: FuchsianSystem, n: int) -> PolyMat:
     """T^n(z) Q^[n](z); identity matrix at n = 0."""
-    for R in _scaled_qn(system, n):
+    for N, D in _scaled_qn(system, n):
         pass
-    return R.scale(factorial(n))
+    return _polymat(N, D, factorial(n))
 
 
 def qn_table(system: FuchsianSystem, n_max: int) -> list[PolyMat]:
     """[T^0 Q^[0], ..., T^{n_max} Q^[n_max]]."""
-    return [R.scale(factorial(n)) for n, R in enumerate(_scaled_qn(system, n_max))]
+    return [_polymat(N, D, factorial(n)) for n, (N, D) in enumerate(_scaled_qn(system, n_max))]
 
 
 def qn_via_brackets(system: FuchsianSystem, n: int) -> PolyMat:
@@ -268,10 +281,10 @@ def qn_via_brackets(system: FuchsianSystem, n: int) -> PolyMat:
 def operator_identity_14(lam: Fraction, f: UniPoly, n: int) -> bool:
     """Single pole at 0: z^n (d/dz + lam/z)^n f equals
     sum_l C(n,l) <lam>_l z^{n-l} f^{(n-l)}, exactly."""
-    # cleared form: G_j = z^j D^j f satisfies G_j = z G' - (j-1)G + lam G
-    G = f
-    for j in range(1, n + 1):
-        G = G.derivative() * UniPoly.x() + G.scale(lam - (j - 1))
+    system = FuchsianSystem(m=1, gammas=(Fraction(0),), residues=(MatQ([[lam]]),))
+    for N, D in _scaled_qn(system, n, PolyMat([[f]])):
+        pass
+    G = _polymat(N, D, factorial(n))[0, 0]
     rhs = UniPoly.zero()
     fall = Fraction(1)
     for l in range(n + 1):
@@ -287,20 +300,13 @@ def operator_identity_14(lam: Fraction, f: UniPoly, n: int) -> bool:
 def operator_identity_16(lams, gammas, f: UniPoly, n: int) -> bool:
     """Commuting scalar multi-pole case: T^n D^n f / n! equals the multinomial
     sum of prod (z-gamma_i)^{n-n_i} Delta_{n_i}(lam_i) f^{(n_0)}/n_0!."""
-    lams = [Fraction(l) if not isinstance(l, Fraction) else l for l in lams]
-    gammas = [Fraction(g) if not isinstance(g, Fraction) else g for g in gammas]
     s = len(lams)
-    if len(gammas) != s or len(set(gammas)) != s:
-        raise ValueError("need matching, distinct poles")
-    T = UniPoly.from_roots(gammas)
-    Tp = T.derivative()
-    tq = UniPoly.zero()
-    for lam, g in zip(lams, gammas):
-        tq = tq + UniPoly.from_roots([h for h in gammas if h != g]).scale(lam)
-    # G_j = T^j D^j f / j!
-    G = f
-    for j in range(1, n + 1):
-        G = (G.derivative() * T - G * Tp.scale(j - 1) + G * tq).scale(Fraction(1, j))
+    system = FuchsianSystem(
+        m=1, gammas=tuple(gammas), residues=tuple(MatQ([[lam]]) for lam in lams)
+    )
+    for N, D in _scaled_qn(system, n, PolyMat([[f]])):
+        pass
+    G = _polymat(N, D)[0, 0]
     rhs = UniPoly.zero()
     for idx in _compositions(n, s + 1):
         n0, rest = idx[0], idx[1:]
@@ -316,37 +322,25 @@ def operator_identity_16(lams, gammas, f: UniPoly, n: int) -> bool:
     return G == rhs
 
 
-def operator_identity_24(
-    system: FuchsianSystem, n: int, degree_cap: int = None
-) -> bool:
+def operator_identity_24(system: FuchsianSystem, n: int) -> bool:
     """Commuting-residue matrix identity: T^n D^n / n! with
     D = d/dz + sum tA_i/(z-gamma_i) equals the multinomial sum of
     prod (z-gamma_i)^{n-n_i} Delta_{n_1}(tA_1)...Delta_{n_s}(tA_s)
-    (1/n_0!) d^{n_0}/dz^{n_0}, checked on the basis z^d E, d <= degree_cap."""
+    (1/n_0!) d^{n_0}/dz^{n_0}, checked on the basis z^d E, d <= 2n."""
     if not commuting_check(list(system.residues)):
         raise NotCommuting("the residue matrices must pairwise commute")
-    if degree_cap is None:
-        degree_cap = 2 * n
     s = system.npoles
     size = system.size
     tmats = [A.transpose() for A in system.residues]
-    T = system.t_poly()
-    Tp = T.derivative()
-    TtQ = _tq_poly(system).transpose()
-    from .matfun import matrix_delta
-
     deltas = [
         [matrix_delta(M, ni) for ni in range(n + 1)] for M in tmats
     ]
-    for d in range(degree_cap + 1):
-        # lhs: G_j = T^j D^j (z^d E) / j!
-        G = PolyMat.scalar(UniPoly.monomial(1, d), size)
-        for j in range(1, n + 1):
-            G = (
-                G.derivative().scale_poly(T)
-                - G.scale_poly(Tp.scale(j - 1))
-                + TtQ @ G
-            ).scale(Fraction(1, j))
+    for d in range(2 * n + 1):
+        # lhs: T^n D^n (z^d E) / n! is the transpose of the row-acting run
+        start = PolyMat.identity(size).scale_poly(UniPoly.monomial(1, d))
+        for N, D in _scaled_qn(system, n, start):
+            pass
+        G = _polymat(N, D).transpose()
         rhs = PolyMat([[UniPoly.zero()] * size for _ in range(size)])
         for idx in _compositions(n, s + 1):
             n0, rest = idx[0], idx[1:]
@@ -436,8 +430,8 @@ def certify_system(
     if k < 1:
         raise ValueError("k must be >= 1")
     psi = 1
-    for R in _scaled_qn(system, k):
-        psi = lcm(psi, R.coeff_denominator())
+    for _, D in _scaled_qn(system, k):
+        psi = lcm(psi, D)
 
     bound = None
     const = None

@@ -28,8 +28,8 @@ from .errors import (
     RepeatedBeta,
     XiZero,
 )
-from .fuchs import FuchsianSystem, certify_system
-from .matfun import MatQ, bracket_table
+from .fuchs import FuchsianSystem, _content, _scaled_qn, certify_system
+from .matfun import MatQ
 from .poly import RatFun, SeriesQ, UniPoly, delta_series
 
 
@@ -78,7 +78,14 @@ class HyperParams:
 
     @staticmethod
     def from_json(s: str) -> "HyperParams":
+        """Parse the to_json form; any other shape raises ValueError."""
         d = json.loads(s)
+        if not (
+            isinstance(d, dict)
+            and isinstance(d.get("alpha"), list)
+            and isinstance(d.get("beta"), list)
+        ):
+            raise ValueError('hypergeometric parameters need "alpha" and "beta" lists')
         return HyperParams.of(
             [arith.parse_rat(a) for a in d["alpha"]],
             [arith.parse_rat(b) for b in d["beta"]],
@@ -278,6 +285,13 @@ class Lemma11Certificate:
     (without the gamma factor when gamma = 0, where the target gains d_k)
     against g_k a b^k prod p^{tau_p(k)}.  outer: the system-level psi_k of
     the adjoint system against t1 t2 times the inner target.
+
+    The inner psi runs the fraction-free generator fuchs._scaled_qn of
+    R_n = T^n Q^[n]/n! = N_n/D_n for residues B1^T at 0 and B2^T at 1: each n
+    adds D_n, or den(gamma content(N_n)/D_n) when gamma != 0.  That is the
+    bracket definition: R_n^T = sum <B1,B2>_{n1,n2}/n! z^{n2} (z-1)^{n1}, and
+    the z^j (z-1)^{n-j} are a Z-basis of Z[z]_{<=n}, so the bracket entries
+    and the coefficients of R_n span one Z-module, (content(N_n)/D_n) Z.
     """
 
     inner: CancellationCertificate
@@ -299,14 +313,12 @@ def certify_lemma11(
     gamma_zero = g == 0
     a = arith.common_denominator(forms.a)
     b = arith.common_denominator((g,) + params.beta)
-    table = bracket_table([forms.B1, forms.B2], k)
+    brackets = FuchsianSystem(params.m, (0, 1), (forms.B1.transpose(), forms.B2.transpose()))
     psi_inner = 1
-    for (n1, n2), M in table.items():
-        n = n1 + n2
-        scaled = M.scale(Fraction(1, factorial(n)))
-        if not gamma_zero:
-            scaled = scaled.scale(g)
-        psi_inner = lcm(psi_inner, scaled.entry_denominator())
+    for N, D in _scaled_qn(brackets, k):
+        psi_inner = lcm(
+            psi_inner, D if gamma_zero else (g * Fraction(_content(N), D)).denominator
+        )
     target = arith.g_k(k) * a * b**k * arith.prime_power_product(b, k)
     if gamma_zero:
         target *= arith.lcm_upto(k)

@@ -189,7 +189,11 @@ class MatQ:
 
     @staticmethod
     def from_lists(rows) -> "MatQ":
-        return MatQ([[arith.parse_rat(str(a)) for a in r] for r in rows])
+        """Parse the JSON form: a non-empty list of non-empty rows of
+        rationals; any other shape raises ValueError."""
+        if not (isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows)):
+            raise ValueError("a matrix must be a non-empty list of non-empty lists")
+        return MatQ([[arith.parse_rat(a) for a in r] for r in rows])
 
     @staticmethod
     def from_json(s: str) -> "MatQ":
@@ -240,7 +244,7 @@ def kernel_basis(A: MatQ) -> list[tuple[Fraction, ...]]:
 
 
 class _Span:
-    """Incremental row space with exact membership tests."""
+    """Incremental row space in echelon form."""
 
     def __init__(self, vectors=()):
         self.rows: list[list[Fraction]] = []
@@ -267,9 +271,6 @@ class _Span:
         self.rows.append(w)
         self.pivots.append(p)
         return True
-
-    def contains(self, v) -> bool:
-        return all(x == 0 for x in self.residual(v))
 
 
 # ---------------------------------------------------------------------------

@@ -242,10 +242,6 @@ class RatFun:
         self.den = den.scale(1 / lead)
 
     @staticmethod
-    def from_poly(p: UniPoly) -> "RatFun":
-        return RatFun(p)
-
-    @staticmethod
     def constant(c) -> "RatFun":
         return RatFun(UniPoly.constant(c))
 
@@ -405,9 +401,6 @@ class MultiPoly:
             if k:
                 out = out.partial(i, k)
         return out
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factcancel import catalog
 from factcancel.certificate import CancellationCertificate
@@ -48,6 +52,113 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert code == 2
     assert err.strip()
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "target,text",
+    [
+        ("fuchsian", '{"residues": [[["1"]]]}'),
+        ("fuchsian", "[1,2]"),
+        ("matrix", "[1,2]"),
+        ("constcoef", "[1,2]"),
+        ("series", '{"alpha": ["1/2"]}'),
+    ],
+    ids=["fuchsian-no-gammas", "fuchsian-list", "matrix-flat", "constcoef-flat", "series-no-beta"],
+)
+def test_wrong_json_shape_exits_2_without_traceback(tmp_path, capsys, target, text):
+    f = tmp_path / "in.json"
+    f.write_text(text)
+    if target == "series":
+        argv = ["hyper", "series", "--file", str(f)]
+    else:
+        argv = ["certify", target, "--file", str(f), "--k", "3"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip()
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_constcoef_degree_cap_below_one_exits_2(tmp_path, capsys, cap):
+    f = tmp_path / "m.json"
+    f.write_text(catalog.IDEMPOTENT_HALF.to_json())
+    code = main(["certify", "constcoef", "--file", str(f), "--k", "5", f"--degree-cap={cap}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+
+
+# Small JSON values of any shape, and well-formed matrices, Fuchsian systems
+# and parameter sets built from them, so that the certificates run too.
+# Magnitudes stay small (|int| <= 4, strings of <= 3 characters without an
+# exponent) because the spectral root search is O(sqrt) in the matrix
+# entries; this test is about shapes.
+_json_rat = st.integers(-4, 4) | st.sampled_from(["1/2", "-2/3", "3/4", "1/3"])
+_json_leaf = (
+    _json_rat
+    | st.none()
+    | st.booleans()
+    | st.sampled_from(["1/0", "x", ""])
+    | st.text(alphabet="0123456789/-. x", max_size=3)
+)
+_json_any = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["m", "gammas", "residues", "augmented", "alpha", "beta"])
+        | st.text(max_size=2),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+def _json_matrices(size, count):
+    row = st.lists(_json_rat, min_size=size, max_size=size)
+    matrix = st.lists(row, min_size=size, max_size=size)
+    return st.lists(matrix, min_size=count, max_size=count)
+
+
+_json_system = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda sc: st.fixed_dictionaries(
+        {
+            "gammas": st.lists(_json_rat, min_size=sc[1], max_size=sc[1]),
+            "residues": _json_matrices(*sc),
+        },
+        optional={"m": _json_leaf, "augmented": _json_leaf},
+    )
+)
+_json_params = st.fixed_dictionaries(
+    {"alpha": st.lists(_json_rat, max_size=3), "beta": st.lists(_json_rat, max_size=3)}
+)
+_json_value = st.one_of(
+    _json_any,
+    st.integers(1, 3).flatmap(lambda n: _json_matrices(n, 1)).map(lambda ms: ms[0]),
+    _json_system,
+    _json_params,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    value=_json_value,
+    target=st.sampled_from(["matrix", "fuchsian", "constcoef", "series"]),
+    k=st.integers(1, 3),
+)
+def test_file_inputs_end_in_documented_exit_code(tmp_path_factory, value, target, k):
+    f = tmp_path_factory.getbasetemp() / "fuzz.json"
+    f.write_text(json.dumps(value))
+    if target == "series":
+        argv = ["hyper", "series", "--file", str(f), "--N", str(k)]
+    else:
+        argv = ["certify", target, "--file", str(f), "--k", str(k), "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_certify_matrix_idempotent_example(tmp_path, capsys):

@@ -169,6 +169,13 @@ def test_certify_diag_sixth():
     assert cert.divides
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_certify_rejects_degree_cap_below_one(cap):
+    # cap < 1 tests no monomial, so any verdict would be empty
+    with pytest.raises(ValueError):
+        cc.certify_constcoef(catalog.IDEMPOTENT_HALF, 5, degree_cap=cap)
+
+
 def test_certify_rejects_repeated_root():
     J = MatQ.jordan_block(F(1, 2), 2)
     with pytest.raises(RepeatedRootMinPoly):
@@ -195,7 +202,7 @@ def test_certify_psi_matches_operator_oracle(i):
             key = (n, sum(e))
             dens[key] = lcm(dens.get(key, 1), image.coeff_denominator())
     for k in range(1, 6):
-        for cap in range(4):
+        for cap in range(1, 4):
             want = 1
             for (n, d), den in dens.items():
                 if n <= k and d <= cap:

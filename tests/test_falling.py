@@ -30,12 +30,6 @@ def test_pascal_recurrence(lam, n):
     )
 
 
-def test_falling_table():
-    lam = Fraction(1, 2)
-    tab = falling.falling_table(lam, 6)
-    assert tab == [falling.delta(lam, n) for n in range(7)]
-
-
 @given(rats, st.integers(0, 10), st.integers(1, 4))
 def test_delta_derivatives_match_shift_oracle(lam, n, r):
     assert falling.delta_derivatives(lam, n, r) == falling.delta_derivatives_via_shift(

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,34 @@ def test_bracket_oracle_matches_recurrence(i):
     system = catalog.fuchsian_catalog()[i]
     for n in range(1, 6):
         assert qn_via_brackets(system, n) == qn_recurrence(system, n)
+
+
+_rats = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _systems(draw):
+    size = draw(st.integers(1, 3))
+    poles = draw(st.integers(2, 3))
+    gammas = draw(st.lists(_rats, min_size=poles, max_size=poles, unique=True))
+    residues = [
+        MatQ(draw(st.lists(st.lists(_rats, min_size=size, max_size=size), min_size=size, max_size=size)))
+        for _ in range(poles)
+    ]
+    return FuchsianSystem(m=size, gammas=tuple(gammas), residues=tuple(residues))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems(), st.integers(0, 6))
+def test_scaled_qn_matches_bracket_oracle(system, n):
+    # the integer generator against the bracket expansion divided by n!
+    for N, D in fuchs._scaled_qn(system, n):
+        pass
+    R = qn_via_brackets(system, n).scale(F(1, factorial(n)))
+    assert [[UniPoly([F(x, D) for x in e]) for e in row] for row in N] == [
+        list(row) for row in R.rows
+    ]
+    assert D == R.coeff_denominator()
 
 
 def test_qn_table_consistent():

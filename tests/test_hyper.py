@@ -1,7 +1,10 @@
 from fractions import Fraction
+from math import factorial, lcm
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from factcancel import catalog, hyper
 from factcancel.errors import (
@@ -12,7 +15,7 @@ from factcancel.errors import (
     XiZero,
 )
 from factcancel.hyper import HyperParams
-from factcancel.matfun import MatQ
+from factcancel.matfun import MatQ, bracket_table
 
 F = Fraction
 
@@ -115,6 +118,43 @@ def test_certify_lemma11_gamma_zero():
     assert cert.gamma_zero
     assert cert.inner.divides
     assert cert.outer.divides
+
+
+def _inner_psi_by_brackets(params, k):
+    """The Lemma 11 inner psi by its definition: lcm over n1 + n2 <= k of
+    the entry denominators of gamma <B1,B2>_{n1,n2}/(n1+n2)! (no gamma
+    factor when gamma = 0)."""
+    forms = hyper.adjoint_system(params)
+    g = forms.gamma
+    psi = 1
+    for (n1, n2), M in bracket_table([forms.B1, forms.B2], k).items():
+        scaled = M.scale(F(1, factorial(n1 + n2)))
+        if g != 0:
+            scaled = scaled.scale(g)
+        psi = lcm(psi, scaled.entry_denominator())
+    return psi
+
+
+_params_rats = st.fractions(min_value=-3, max_value=3, max_denominator=8).filter(
+    lambda x: not (x.denominator == 1 and x <= -1)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda m: st.tuples(
+            st.lists(_params_rats, min_size=m, max_size=m),
+            st.lists(_params_rats, min_size=m, max_size=m, unique=True),
+        )
+    ),
+    st.integers(1, 10),
+)
+@example((catalog.HYPER_GAMMA0.alpha, catalog.HYPER_GAMMA0.beta), 10)
+@example((catalog.HYPER_GAMMA0_EXCESS.alpha, catalog.HYPER_GAMMA0_EXCESS.beta), 7)
+def test_lemma11_inner_psi_matches_bracket_definition(alpha_beta, k):
+    params = HyperParams.of(*alpha_beta)
+    assert hyper.certify_lemma11(params, k).inner.psi_k == _inner_psi_by_brackets(params, k)
 
 
 def test_gamma_zero_bound_needs_b_smooth_a():
