@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end report for a hypergeometric instance: series residual,
 factorial-cancellation certificate, arithmetic conditions, and the
-irrationality verdict at a chosen rational point.
+irrationality verdict at a chosen rational point.  Exits 1 when either
+Lemma 11 certificate fails (or the irrationality criterion does not apply).
 
 Usage:
     python3 scripts/hyper_report.py --alpha 1/3 --beta 1/2 --xi 1/5000000000000000000
@@ -33,6 +34,7 @@ def main() -> int:
     print(f"inner certificate k={args.k}: psi={cert.inner.psi_k} "
           f"divides bound: {cert.inner.divides}")
     print(f"outer certificate: divides: {cert.outer.divides}")
+    certified = cert.inner.divides and cert.outer.divides
 
     rep = hyper.check_conditions(p)
     print("conditions hold:", rep.all_hold(), "" if rep.all_hold() else rep.failed())
@@ -47,7 +49,7 @@ def main() -> int:
         print(f"f({args.xi}) irrational (decisive={t6.decisive}):", t6.irrational)
         if t6.irrational:
             print(f"irrationality measure exponent eta0 = {t6.measure_exponent}")
-    return 0
+    return 0 if certified else 1
 
 
 if __name__ == "__main__":

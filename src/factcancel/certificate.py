@@ -8,6 +8,8 @@ from typing import Optional
 
 import mpmath
 
+from .arith import DEFAULT_DIGITS
+
 
 @dataclass(frozen=True)
 class CancellationCertificate:
@@ -17,7 +19,9 @@ class CancellationCertificate:
     divisor (None when no bound applies, e.g. non-commuting Fuchsian
     systems, where only the measurement is reported); divides is the exact
     verdict psi_k | bound_k.  log_ratio_per_k = ln(psi_k)/k and
-    asymptotic_constant are informational reals.
+    asymptotic_constant are informational reals, computed at `digits`
+    decimal digits.  The JSON form carries "digits" only when it is not the
+    default 50, so default-precision output keeps its established shape.
     """
 
     k: int
@@ -26,10 +30,10 @@ class CancellationCertificate:
     divides: Optional[bool]
     log_ratio_per_k: float
     asymptotic_constant: Optional[float]
-    digits: int = 50
+    digits: int = DEFAULT_DIGITS
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "k": self.k,
             "psi_k": str(self.psi_k),
             "bound_k": None if self.bound_k is None else str(self.bound_k),
@@ -37,6 +41,9 @@ class CancellationCertificate:
             "log_ratio_per_k": self.log_ratio_per_k,
             "asymptotic_constant": self.asymptotic_constant,
         }
+        if self.digits != DEFAULT_DIGITS:
+            d["digits"] = self.digits
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -50,6 +57,7 @@ class CancellationCertificate:
             divides=d["divides"],
             log_ratio_per_k=d["log_ratio_per_k"],
             asymptotic_constant=d["asymptotic_constant"],
+            digits=d.get("digits", DEFAULT_DIGITS),
         )
 
     @staticmethod
@@ -62,7 +70,7 @@ def make_certificate(
     psi_k: int,
     bound_k: Optional[int],
     asymptotic_constant=None,
-    digits: int = 50,
+    digits: int = DEFAULT_DIGITS,
 ) -> CancellationCertificate:
     """Assemble a certificate; the divisibility verdict is recomputed here."""
     divides = None if bound_k is None else (bound_k % psi_k == 0)

@@ -18,7 +18,7 @@ import mpmath
 from . import arith, falling
 from .certificate import CancellationCertificate, make_certificate
 from .errors import NotPrime, RepeatedRootMinPoly
-from .matfun import MatQ, matrix_delta, min_poly, spectral
+from .matfun import MatQ, _integer_form, matrix_delta, spectral
 from .poly import MultiPoly
 
 
@@ -273,11 +273,10 @@ def lemma19_inequality(s, p: int) -> bool:
     return lhs <= arith.tau_p(p, n)
 
 
-def _induced_matrices(A: MatQ, q: int, degree_cap: int):
-    """Yield, for d = 1..degree_cap, the integer matrix S_d of q[A] on the
+def _induced_matrices(qA: list[list[int]], degree_cap: int):
+    """Yield, for d = 1..degree_cap, the integer matrix S_d of [qA] on the
     degree-d monomials: column y^e holds sum_{l,j} q A_{lj} e_l y^{e-u_l+u_j}."""
-    m = A.size
-    qA = [[int(a * q) for a in row] for row in A.rows]
+    m = len(qA)
     for d in range(1, degree_cap + 1):
         basis = [e for e in _monomials_upto(m, d) if sum(e) == d]
         index = {e: i for i, e in enumerate(basis)}
@@ -313,14 +312,13 @@ def certify_constcoef(
     if degree_cap < 1:
         raise ValueError("degree_cap must be >= 1")
     data = spectral(A)
-    mp = min_poly(A)
-    if mp.gcd(mp.derivative()).degree != 0:
+    if data.r_max > 1:
         raise RepeatedRootMinPoly("minimal polynomial has a repeated root")
     b = data.b
     t1t2 = data.t1 * data.t2
     psi = 1
-    q = A.entry_denominator()
-    for S in _induced_matrices(A, q, degree_cap):
+    q, qA = _integer_form(A)
+    for S in _induced_matrices(qA, degree_cap):
         for _, D in falling.delta_steps(S, q, k):
             psi = lcm(psi, D)
     bound = t1t2**k * b**k * arith.prime_power_product(b, k)

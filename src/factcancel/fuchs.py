@@ -23,13 +23,14 @@ from .errors import DimensionMismatch, IrrationalSpectrum, NotCommuting, Singula
 from .matfun import (
     MatQ,
     _compositions,
+    _eigenvalues,
+    _integer_form,
+    _kernel,
+    _mat_vec,
     _primitive_chain,
     bracket_table,
-    char_poly,
     commuting_check,
-    kernel_basis,
     matrix_delta,
-    rational_roots_monic,
     spectral,
 )
 from .poly import UniPoly, differentiate_scaled, integer_content_denominator
@@ -366,50 +367,44 @@ def operator_identity_24(system: FuchsianSystem, n: int) -> bool:
 
 def simultaneous_eigenbasis(mats: list[MatQ]) -> MatQ:
     """One invertible T with every T^{-1} A T diagonal; requires pairwise
-    commuting, individually diagonalizable matrices with rational spectra."""
+    commuting, individually diagonalizable matrices with rational spectra.
+
+    Works over Z like matfun.spectral: each A enters as B = qA, the common
+    eigenspaces are refined by integer kernels (their dimensions add up, so
+    T is invertible), and every column t of the integer T is checked as
+    B t = mu t."""
     if not mats:
         raise ValueError("need at least one matrix")
     size = mats[0].size
-    spaces = [[tuple(Fraction(1) if i == j else Fraction(0) for i in range(size))
-               for j in range(size)]]
-    for A in mats:
-        roots, rest = rational_roots_monic(char_poly(A))
-        if rest.degree > 0:
+    ints = [_integer_form(A)[1] for A in mats]
+    # (eigenvalue of each B so far, integer basis of the common eigenspace)
+    spaces = [((), [[int(i == j) for i in range(size)] for j in range(size)])]
+    for B in ints:
+        _, roots, rest = _eigenvalues(B)
+        if len(rest) > 1:
             raise IrrationalSpectrum("non-rational eigenvalue")
         nxt = []
-        for S in spaces:
+        for mus, S in spaces:
             found = 0
-            for lam in sorted(roots):
-                # kernel of (A - lam E) restricted to span(S)
-                N = A.shift(-lam)
-                images = [
-                    tuple(sum(row[i] * v[i] for i in range(size)) for row in N.rows)
-                    for v in S
-                ]
-                B = MatQ(list(zip(*images)))  # size x len(S)
+            for mu in roots:
+                # kernel of (B - mu E) restricted to span(S)
+                images = [[x - mu * y for x, y in zip(_mat_vec(B, v), v)] for v in S]
                 sub = []
-                for c in kernel_basis(B):
-                    w = tuple(
-                        sum(cj * v[i] for cj, v in zip(c, S)) for i in range(size)
-                    )
-                    sub.append(w)
+                for cs in _kernel([list(col) for col in zip(*images)]):
+                    w = [sum(c * v[i] for c, v in zip(cs, S)) for i in range(size)]
+                    sub.append(_primitive_chain([w])[0])
                 if sub:
-                    nxt.append(sub)
+                    nxt.append((mus + (mu,), sub))
                     found += len(sub)
             if found != len(S):
                 raise SingularT("matrix is not diagonalizable")
         spaces = nxt
-    columns = []
-    for S in spaces:
-        for v in S:
-            columns.extend(_primitive_chain([v]))
-    T = MatQ(list(zip(*columns)))
-    T_inv = T.inverse()
-    for A in mats:
-        C = T_inv @ A @ T
-        if any(C[i, j] != 0 for i in range(size) for j in range(size) if i != j):
-            raise SingularT("simultaneous diagonalization failed")
-    return T
+    columns = [t for _, S in spaces for t in S]
+    for mus, S in spaces:
+        for t in S:
+            if any(_mat_vec(B, t) != [mu * x for x in t] for B, mu in zip(ints, mus)):
+                raise SingularT("simultaneous diagonalization failed")
+    return MatQ(list(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------

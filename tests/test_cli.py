@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -91,10 +92,13 @@ def test_constcoef_degree_cap_below_one_exits_2(tmp_path, capsys, cap):
 
 # Small JSON values of any shape, and well-formed matrices, Fuchsian systems
 # and parameter sets built from them, so that the certificates run too.
-# Magnitudes stay small (|int| <= 4, strings of <= 3 characters without an
-# exponent) because the spectral root search is O(sqrt) in the matrix
-# entries; this test is about shapes.
-_json_rat = st.integers(-4, 4) | st.sampled_from(["1/2", "-2/3", "3/4", "1/3"])
+# Entries reach |int| <= 10**6, exponent strings such as "9e9" and a
+# denominator near 10**9: the spectral root search lifts roots modulo a
+# small prime instead of factoring det(qA), so its cost grows only with the
+# number of digits.
+_json_rat = st.integers(-(10**6), 10**6) | st.sampled_from(
+    ["1/2", "-2/3", "3/4", "1/3", "9e9", "-7e9", "5e-3", "1e-9", "7/900000007"]
+)
 _json_leaf = (
     _json_rat
     | st.none()
@@ -159,6 +163,28 @@ def test_file_inputs_end_in_documented_exit_code(tmp_path_factory, value, target
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+_HOSTILE = [["9e9", "0"], ["0", "7e9"]]
+
+
+@pytest.mark.parametrize(
+    "target, payload",
+    [
+        ("matrix", _HOSTILE),
+        ("matrix", [["9e9", "1"], ["0", "9e9"]]),
+        ("constcoef", _HOSTILE),
+        ("fuchsian", {"gammas": ["0", "1"], "residues": [_HOSTILE, [["7e9", "0"], ["0", "9e9"]]]}),
+    ],
+)
+def test_hostile_entry_sizes_finish_fast(tmp_path, capsys, target, payload):
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code = main(["certify", target, "--file", str(f), "--k", "1", "--json"])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["divides"] is True
 
 
 def test_certify_matrix_idempotent_example(tmp_path, capsys):
@@ -289,3 +315,17 @@ def test_json_roundtrip_certificate(capsys):
     code, out = run(capsys, "certify", "scalar", "--lambda=-7/10", "--k", "30", "--json")
     cert = CancellationCertificate.from_json(out)
     assert CancellationCertificate.from_json(cert.to_json()) == cert
+
+
+def test_json_roundtrip_keeps_precision(capsys):
+    code, out = run(
+        capsys, "certify", "scalar", "--lambda=-7/10", "--k", "30", "--precision", "80", "--json"
+    )
+    assert code == 0
+    cert = CancellationCertificate.from_json(out)
+    assert cert.digits == 80
+    assert CancellationCertificate.from_json(cert.to_json()) == cert
+    # the default precision keeps the JSON shape without a "digits" key
+    code, out = run(capsys, "certify", "scalar", "--lambda=-7/10", "--k", "30", "--json")
+    assert "digits" not in json.loads(out)
+    assert CancellationCertificate.from_json(out).digits == 50

@@ -1,5 +1,8 @@
+import runpy
+import sys
 from fractions import Fraction
 from math import factorial, lcm
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -268,3 +271,23 @@ def test_theorem6_report_json():
     assert d["b0"] == 6
     assert isinstance(d["irrational"], bool)
     assert rep.to_json()
+
+
+_HYPER_REPORT = Path(__file__).resolve().parent.parent / "scripts" / "hyper_report.py"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # the m = 2 docstring example: both certificates hold
+        (["--alpha", "1/3", "--alpha", "1/5", "--beta", "1/2", "--beta", "1/4", "--k", "30"], 0),
+        # both Lemma 11 certificates fail here
+        (["--alpha", "1/3", "--alpha", "5/12", "--beta", "1/2", "--beta", "1/4", "--k", "12"], 1),
+    ],
+)
+def test_hyper_report_exit_code_gates_on_the_certificate(monkeypatch, capsys, argv, code):
+    main = runpy.run_path(str(_HYPER_REPORT))["main"]
+    monkeypatch.setattr(sys, "argv", ["hyper_report.py", *argv])
+    assert main() == code
+    out = capsys.readouterr().out
+    assert ("divides bound: True" in out) is (code == 0)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +127,143 @@ def test_irrational_spectrum_raises():
     rot = MatQ([[0, -1], [1, 0]])
     with pytest.raises(IrrationalSpectrum):
         spectral(rot)
+
+
+# Oracles for the fraction-free spectral layer.  Everything on the test side
+# is plain Fraction arithmetic: the conjugating matrix and its inverse come
+# from elementary row operations, J and the reconstruction are built here,
+# and the characteristic polynomial is a cofactor determinant.
+
+_eigen = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+_jordan_data = st.lists(st.tuples(_eigen, st.integers(1, 3)), min_size=1, max_size=4).filter(
+    lambda blocks: sum(h for _, h in blocks) <= 4
+)
+_row_ops = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([-2, -1, 1, 2])), max_size=12
+)
+
+
+def _fmul(X, Y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+def _jordan_matrix(blocks):
+    n = sum(h for _, h in blocks)
+    J = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for lam, h in blocks:
+        for i in range(h):
+            J[at + i][at + i] = lam
+            if i + 1 < h:
+                J[at + i][at + i + 1] = F(1)
+        at += h
+    return J
+
+
+def _cofactor_det(M):
+    if len(M) == 1:
+        return M[0][0]
+    out = UniPoly.zero()
+    for j, a in enumerate(M[0]):
+        term = a * _cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
+        out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(_jordan_data, _row_ops)
+def test_spectral_recovers_conjugated_jordan_data(blocks, ops):
+    n = sum(h for _, h in blocks)
+    U = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    U_inv = [row[:] for row in U]
+    for i, j, c in ops:
+        i, j = i % n, j % n
+        if i == j:
+            continue
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]  # U <- E_ij(c) U
+        for row in U_inv:  # U^-1 <- U^-1 E_ij(-c)
+            row[j] -= c * row[i]
+    A = MatQ(_fmul(_fmul(U, _jordan_matrix(blocks)), U_inv))
+    data = spectral(A)
+
+    want: dict = {}
+    for lam, h in blocks:
+        want.setdefault(lam, []).append(h)
+    assert data.eigenvalues == tuple(sorted(want))
+    assert data.block_sizes == tuple(tuple(sorted(want[lam], reverse=True)) for lam in sorted(want))
+    assert data.minpoly_mults == tuple(max(want[lam]) for lam in sorted(want))
+
+    J = _jordan_matrix(
+        [(lam, h) for lam, hs in zip(data.eigenvalues, data.block_sizes) for h in hs]
+    )
+    T = [list(r) for r in data.jordan_T.rows]
+    T_inv = [list(r) for r in data.jordan_T_inv.rows]
+    assert _fmul(T, T_inv) == [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    assert MatQ(_fmul(_fmul(T, J), T_inv)) == A
+    assert data.t2 == data.jordan_T_inv.entry_denominator()
+    assert data.min_poly == min_poly(A)
+    assert data.char_poly == char_poly(A)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.lists(st.lists(_eigen, min_size=m, max_size=m), min_size=m, max_size=m)
+    )
+)
+def test_char_poly_and_inverse_match_cofactor_determinant(rows):
+    n = len(rows)
+    xE_minus_A = [
+        [UniPoly((-a, 1)) if i == j else UniPoly((-a,)) for j, a in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    cp = _cofactor_det(xE_minus_A)
+    assert char_poly(MatQ(rows)) == cp
+    if cp[0] == 0:  # det A = (-1)^n cp(0)
+        with pytest.raises(SingularT):
+            MatQ(rows).inverse()
+    else:
+        inv = [list(r) for r in MatQ(rows).inverse().rows]
+        assert _fmul(rows, inv) == [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _roots_by_enumeration(p):
+    """Every rational root of the monic p by the rational root theorem on
+    the cleared integer polynomial, each divided out as often as it goes."""
+    roots = {}
+    while p.degree > 0 and p[0] == 0:
+        roots[F(0)] = roots.get(F(0), 0) + 1
+        p, _ = p.divmod(UniPoly.x())
+    den = 1
+    for c in p.coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in p.coeffs]
+    cands = {
+        F(sign * s, t)
+        for s in range(1, abs(ints[0]) + 1) if ints[0] % s == 0
+        for t in range(1, abs(ints[-1]) + 1) if ints[-1] % t == 0
+        for sign in (1, -1)
+    } if p.degree > 0 else set()
+    for r in sorted(cands):
+        while p.degree > 0 and p.evaluate(r) == 0:
+            roots[r] = roots.get(r, 0) + 1
+            p, _ = p.divmod(UniPoly((-r, 1)))
+    return roots, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 6)), max_size=4),
+    st.lists(st.builds(F, st.integers(-4, 4), st.integers(1, 4)), max_size=3),
+)
+def test_rational_roots_monic_matches_enumeration(roots, tail):
+    # (x - r_1)...(x - r_k) times a monic factor with small rational
+    # coefficients, which may have rational roots or none (x^2 - 2, x^2 + 1)
+    p = UniPoly.from_roots(roots) * UniPoly(list(tail) + [1])
+    got, rest = rational_roots_monic(p)
+    want, want_rest = _roots_by_enumeration(p)
+    assert got == want
+    assert rest == want_rest
 
 
 @given(st.integers(2, 4), st.integers(0, 8))
