@@ -184,10 +184,18 @@ def tau_p(p: int, k: int) -> int:
 
 def prime_power_product(b: int, k: int) -> int:
     """prod over primes p | b of p^tau_p(k); the exact common denominator of
-    the integers b^n <lambda>_n / n!, n <= k, for den(lambda) = b."""
+    the integers b^n <lambda>_n / n!, n <= k, for den(lambda) = b.
+
+    tau_p(k) = 0 for p > k, so only the primes p <= min(b, k) are tried and
+    b is never factored: the cost is independent of the size of b's other
+    prime factors.
+    """
+    if b < 1 or k < 0:
+        raise ValueError("need b >= 1 and k >= 0")
     out = 1
-    for p in prime_factors(b):
-        out *= p ** tau_p(p, k)
+    for p in primes_upto(min(b, k)):
+        if b % p == 0:
+            out *= p ** tau_p(p, k)
     return out
 
 

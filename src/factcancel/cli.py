@@ -2,6 +2,13 @@
 
 Exit codes: 0 success/verdict, 1 property failure, 2 input error,
 3 unsupported input (irrational spectrum and similar).
+
+Start-up is most of a single call, so this module imports only ``arith``
+and ``errors``: each ``cmd_*`` handler imports the family module it drives
+(``falling``, ``matfun``, ``fuchs``, ``constcoef`` or ``hyper``), and only
+``verify`` imports them all.  ``hyper`` itself loads ``fuchs`` and
+``matfun`` only in the functions that build a matrix system, so ``hyper
+series``, ``conditions`` and ``theorem6`` load neither.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from . import arith, catalog, constcoef, falling, fuchs, hyper, matfun
+from . import arith
 from .errors import (
     ConditionsFailed,
     FactCancelError,
@@ -20,8 +27,6 @@ from .errors import (
     NotCommuting,
     RepeatedRootMinPoly,
 )
-from .matfun import MatQ
-from .poly import UniPoly
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -56,7 +61,9 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
-def _hyper_params(args) -> hyper.HyperParams:
+def _hyper_params(args):
+    from . import hyper
+
     if args.file:
         return hyper.HyperParams.from_json(_read_file(args.file))
     if not args.alpha or not args.beta:
@@ -68,6 +75,8 @@ def _hyper_params(args) -> hyper.HyperParams:
 
 
 def cmd_certify_scalar(args) -> int:
+    from . import falling
+
     lam = arith.parse_rat(args.lam)
     cert = falling.certify_scalar(lam, args.k, args.r, digits=args.precision)
     _print_cert(cert, args.json)
@@ -75,13 +84,17 @@ def cmd_certify_scalar(args) -> int:
 
 
 def cmd_certify_matrix(args) -> int:
-    A = MatQ.from_json(_read_file(args.file))
+    from . import matfun
+
+    A = matfun.MatQ.from_json(_read_file(args.file))
     cert = matfun.certify_matrix(A, args.k, digits=args.precision)
     _print_cert(cert, args.json)
     return EXIT_OK if cert.divides else EXIT_FAIL
 
 
 def cmd_certify_fuchsian(args) -> int:
+    from . import fuchs
+
     system = fuchs.FuchsianSystem.from_json(_read_file(args.file))
     cert = fuchs.certify_system(system, args.k, digits=args.precision)
     extra = {"no_bound": cert.bound_k is None}
@@ -92,6 +105,9 @@ def cmd_certify_fuchsian(args) -> int:
 
 
 def cmd_certify_constcoef(args) -> int:
+    from . import constcoef
+    from .matfun import MatQ
+
     A = MatQ.from_json(_read_file(args.file))
     cert = constcoef.certify_constcoef(
         A, args.k, degree_cap=args.degree_cap, digits=args.precision
@@ -101,6 +117,8 @@ def cmd_certify_constcoef(args) -> int:
 
 
 def cmd_hyper(args) -> int:
+    from . import hyper
+
     params = _hyper_params(args)
     if args.hyper_cmd == "series":
         f = hyper.series(params, args.N)
@@ -189,6 +207,9 @@ def cmd_hyper(args) -> int:
 def _identity_checks(seed: int):
     import random
 
+    from . import catalog, constcoef, fuchs, hyper, matfun
+    from .poly import UniPoly
+
     rng = random.Random(seed)
     checks = []
     polys = [
@@ -243,6 +264,8 @@ def _identity_checks(seed: int):
 
 
 def _divisibility_checks(seed: int):
+    from . import catalog, constcoef, falling, fuchs, hyper, matfun
+
     checks = []
     for lam in catalog.SCALAR_LAMBDAS[:8]:
         checks.append(

@@ -20,7 +20,6 @@ import mpmath
 
 from . import arith
 from .certificate import CancellationCertificate, make_certificate
-from .poly import UniPoly
 
 
 def falling(lam: Fraction, n: int) -> Fraction:
@@ -40,7 +39,10 @@ def delta(lam: Fraction, n: int) -> Fraction:
 
 
 def delta_poly_coeffs(n: int) -> UniPoly:
-    """Delta_n(x) as an exact polynomial in x (degree n)."""
+    """Delta_n(x) as an exact polynomial in x (degree n).  Only the
+    oracles use it, so poly is imported here, not by the scalar path."""
+    from .poly import UniPoly
+
     p = UniPoly.one()
     for i in range(n):
         p = p * UniPoly((Fraction(-i, i + 1), Fraction(1, i + 1)))

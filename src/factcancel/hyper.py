@@ -6,6 +6,9 @@ the trinomial-lcm denominator certificate for the adjoint system, the
 geometric-growth class constant Phi, Wronskian/trace checks, the four
 irreducibility conditions, and the irrationality decision with its explicit
 constants C0 and eta0.
+
+``fuchs`` and ``matfun`` are imported inside the functions that build a
+matrix system, so the series, conditions and theorem6 paths load neither.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .errors import (
     RepeatedBeta,
     XiZero,
 )
-from .fuchs import FuchsianSystem, _content, _scaled_qn, certify_system
-from .matfun import MatQ
 from .poly import RatFun, SeriesQ, UniPoly, delta_series
 
 
@@ -123,6 +124,9 @@ def vieta(params: HyperParams) -> tuple[list[Fraction], list[Fraction]]:
 def build_system(params: HyperParams) -> FuchsianSystem:
     """The augmented (m+1)x(m+1) first-order system at the poles {0, 1}
     satisfied by (1, f, delta f, ..., delta^{m-1} f)."""
+    from .fuchs import FuchsianSystem
+    from .matfun import MatQ
+
     m = params.m
     sa, sb = vieta(params)
     Z0 = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
@@ -193,6 +197,8 @@ class SpectralForms:
 def adjoint_matrices(params: HyperParams) -> tuple[MatQ, MatQ]:
     """A1 (sign-flipped Frobenius block, spectrum beta) and the rank-one A2
     of the adjoint system y' = (A1/z + A2/(z-1)) y."""
+    from .matfun import MatQ
+
     m = params.m
     sa, sb = vieta(params)
     A1 = [[Fraction(0)] * m for _ in range(m)]
@@ -208,6 +214,8 @@ def adjoint_matrices(params: HyperParams) -> tuple[MatQ, MatQ]:
 def adjoint_system(params: HyperParams) -> SpectralForms:
     """All closed forms from the eigen-decomposition of A1: eigenvector
     matrix T, its explicit inverse, the vector a, and B1, B2."""
+    from .matfun import MatQ
+
     if not params.betas_distinct():
         raise RepeatedBeta("closed forms require pairwise distinct beta")
     m = params.m
@@ -257,6 +265,8 @@ def adjoint_system(params: HyperParams) -> SpectralForms:
 
 
 def adjoint_fuchsian(params: HyperParams) -> FuchsianSystem:
+    from .fuchs import FuchsianSystem
+
     A1, A2 = adjoint_matrices(params)
     return FuchsianSystem(
         m=params.m, gammas=(Fraction(0), Fraction(1)), residues=(A1, A2)
@@ -306,6 +316,8 @@ class Lemma11Certificate:
 def certify_lemma11(
     params: HyperParams, k: int, digits: int = arith.DEFAULT_DIGITS
 ) -> Lemma11Certificate:
+    from .fuchs import FuchsianSystem, _content, _scaled_qn, certify_system
+
     if k < 1:
         raise ValueError("k must be >= 1")
     forms = adjoint_system(params)
@@ -413,6 +425,8 @@ def wronskian_checks(params: HyperParams) -> WronskianReport:
     with z^{e0}(1-z)^{e1} solving the first-order Wronskian equation is
     derived by coefficient matching; (e0_alt, e1_alt) records the commonly
     quoted pair, which flips the sign of the exponent at z = 1."""
+    from .matfun import MatQ
+
     sa, sb = vieta(params)
     al, be = sa[0], sb[0]
     # homogeneous residues: companion at 0, last-row matrix at 1
@@ -597,6 +611,11 @@ class Theorem6Report:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+#: theorem6's own interval context: its precision is set per call, and the
+#: global mpmath.iv is never written
+_IV = mpmath.ctx_iv.MPIntervalContext()
+
+
 def _height(params: HyperParams) -> Fraction:
     """Max absolute coefficient of prod (z+alpha_i) and prod (z+beta_j),
     leading 1 included."""
@@ -652,41 +671,35 @@ def theorem6(
         )
         eta0 = num / den if den != 0 else None
 
-    # outward-rounded decision
-    old = mpmath.iv.dps
-    try:
-        mpmath.iv.dps = digits
-        ivH = mpmath.iv.mpf(H.numerator) / H.denominator
-        iv_chi = mpmath.iv.mpf(0)
-        for p in arith.prime_factors(b0):
-            iv_chi += mpmath.iv.log(p) / (p - 1)
-        iv_rho = mpmath.iv.mpf(0)
-        for bj in est.b_js:
-            r = arith.rho_exact(bj)
-            iv_rho += mpmath.iv.mpf(r.numerator) / r.denominator
-        ivPhi = mpmath.iv.exp(iv_rho) * est.q1 / est.b
-        iv_eps = mpmath.iv.mpf(epsilon.numerator) / epsilon.denominator
-        iv_base = 8 * b0 * ivH * mpmath.iv.exp(iv_chi + 3)
-        iv_expo = 1 + iv_eps + (2 - (m - 1) * iv_eps) / (
-            iv_eps**m * factorial(m - 1)
-        )
-        ivC0 = mpmath.iv.exp(
-            mpmath.iv.log(iv_base) * iv_eps * (1 - mpmath.iv.log(iv_eps))
-        ) * mpmath.iv.exp(mpmath.iv.log(ivPhi) * iv_expo)
-        lhs = mpmath.iv.exp(
-            mpmath.iv.log(mpmath.iv.mpf(a2)) * (1 - (m + 2) * iv_eps)
-        )
-        rhs = ivC0 * mpmath.iv.exp(
-            mpmath.iv.log(mpmath.iv.mpf(abs(a1))) * (2 - (m + 1) * iv_eps)
-        )
-        if lhs.a > rhs.b:
-            irrational, decisive = True, True
-        elif lhs.b < rhs.a:
-            irrational, decisive = False, True
-        else:
-            irrational, decisive = False, False
-    finally:
-        mpmath.iv.dps = old
+    # outward-rounded decision, in the private interval context
+    _IV.dps = digits
+    ivH = _IV.mpf(H.numerator) / H.denominator
+    iv_chi = _IV.mpf(0)
+    for p in arith.prime_factors(b0):
+        iv_chi += _IV.log(p) / (p - 1)
+    iv_rho = _IV.mpf(0)
+    for bj in est.b_js:
+        r = arith.rho_exact(bj)
+        iv_rho += _IV.mpf(r.numerator) / r.denominator
+    ivPhi = _IV.exp(iv_rho) * est.q1 / est.b
+    iv_eps = _IV.mpf(epsilon.numerator) / epsilon.denominator
+    iv_base = 8 * b0 * ivH * _IV.exp(iv_chi + 3)
+    iv_expo = 1 + iv_eps + (2 - (m - 1) * iv_eps) / (
+        iv_eps**m * factorial(m - 1)
+    )
+    ivC0 = _IV.exp(
+        _IV.log(iv_base) * iv_eps * (1 - _IV.log(iv_eps))
+    ) * _IV.exp(_IV.log(ivPhi) * iv_expo)
+    lhs = _IV.exp(_IV.log(_IV.mpf(a2)) * (1 - (m + 2) * iv_eps))
+    rhs = ivC0 * _IV.exp(
+        _IV.log(_IV.mpf(abs(a1))) * (2 - (m + 1) * iv_eps)
+    )
+    if lhs.a > rhs.b:
+        irrational, decisive = True, True
+    elif lhs.b < rhs.a:
+        irrational, decisive = False, True
+    else:
+        irrational, decisive = False, False
     measure = eta0 if irrational else None
     return Theorem6Report(
         conditions=conditions,

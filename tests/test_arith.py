@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,24 @@ def test_prime_power_product():
     # b = 6, k = 10: 2^8 * 3^4
     assert arith.prime_power_product(6, 10) == 2**8 * 3**4
     assert arith.prime_power_product(1, 50) == 1
+
+
+def test_prime_power_product_matches_factored_definition():
+    for b in range(1, 2001):
+        primes = _trial_division_factors(b)
+        for k in range(61):
+            want = math.prod(p ** arith.tau_p(p, k) for p in primes)
+            assert arith.prime_power_product(b, k) == want, (b, k)
+
+
+def test_prime_power_product_never_factors_b():
+    # b has two ~15-digit prime factors, which took matrix_bound > 30 s to
+    # find; every prime <= k is coprime to b, so the product needs none of them
+    b = 1000000000000128000000000003367
+    start = time.perf_counter()
+    assert arith.prime_power_product(b, 60) == 1
+    assert arith.prime_power_product(b * 2**3 * 7, 60) == 2**56 * 7**9
+    assert time.perf_counter() - start < 0.1
 
 
 def test_lcm_upto():

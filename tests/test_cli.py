@@ -1,12 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import factcancel
 from factcancel import catalog
 from factcancel.certificate import CancellationCertificate
 from factcancel.cli import main
@@ -16,6 +22,67 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+# README-sized file inputs
+_MATRIX_JSON = [["1/2", "1/3"], ["0", "1/5"]]
+_SYSTEM_JSON = {"gammas": ["0", "1"], "residues": [[["1/2", "0"], ["0", "1/3"]], [["1/4", "0"], ["0", "1/5"]]]}
+_SCALAR = {"factcancel", "factcancel.arith", "factcancel.certificate", "factcancel.cli",
+           "factcancel.errors", "factcancel.falling"}
+_MATRIX = _SCALAR | {"factcancel.matfun", "factcancel.poly"}
+_FUCHSIAN = _MATRIX | {"factcancel.fuchs"}
+_HYPER = _SCALAR | {"factcancel.hyper", "factcancel.poly"}
+
+
+def _modules_after(code, *argv):
+    """The factcancel modules loaded by a fresh interpreter running code."""
+    path = [str(_SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code += "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('factcancel')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "argv, file_value, want",
+    [
+        (["certify", "scalar", "--lambda", "1/2", "--k", "50"], None, _SCALAR),
+        (["certify", "matrix", "--k", "40"], _MATRIX_JSON, _MATRIX),
+        (["certify", "fuchsian", "--k", "12"], _SYSTEM_JSON, _FUCHSIAN),
+        (["certify", "constcoef", "--k", "25"], _MATRIX_JSON, _MATRIX | {"factcancel.constcoef"}),
+        (["hyper", "series", "--alpha", "1/3", "--beta", "1/2", "--N", "10"], None, _HYPER),
+        (
+            ["hyper", "theorem6", "--alpha", "1/3", "--beta", "1/2", "--xi", "1/100000", "--epsilon", "1/10"],
+            None,
+            _HYPER,
+        ),
+        (
+            ["hyper", "lemma11", "--alpha", "1/3", "--alpha", "1/5", "--beta", "1/2", "--beta", "1/4"],
+            None,
+            _FUCHSIAN | _HYPER,
+        ),
+    ],
+    ids=["scalar", "matrix", "fuchsian", "constcoef", "series", "theorem6", "lemma11"],
+)
+def test_subcommand_imports_only_its_family(tmp_path, argv, file_value, want):
+    if file_value is not None:
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(file_value))
+        argv = argv + ["--file", str(f)]
+    code = "import sys\nfrom factcancel import cli\nassert cli.main(sys.argv[1:]) == 0"
+    assert _modules_after(code, *argv) == want
+
+
+def test_package_import_is_lazy():
+    assert _modules_after("import factcancel") == {"factcancel"}
+    namespace = {}
+    exec("from factcancel import *", namespace)
+    assert set(factcancel.__all__) <= set(namespace)
+    assert namespace["MatQ"] is catalog.MatQ
 
 
 def test_certify_scalar_ok(capsys):
@@ -329,3 +396,94 @@ def test_json_roundtrip_keeps_precision(capsys):
     code, out = run(capsys, "certify", "scalar", "--lambda=-7/10", "--k", "30", "--json")
     assert "digits" not in json.loads(out)
     assert CancellationCertificate.from_json(out).digits == 50
+
+
+# argv fuzz: every subcommand with each of its flags missing, given once or
+# given twice.  Values are small integers, "0", negatives, rationals with
+# small denominators and, less often, malformed text, so that most argv reach
+# the certificates.  Files are well-formed README-sized examples, a file of
+# the wrong shape, invalid JSON, or a path that does not exist.
+_FUZZ_FILES = {
+    "matrix": [_MATRIX_JSON, [["0", "-1"], ["1", "0"]]],
+    "system": [_SYSTEM_JSON],
+    "params": [{"alpha": ["1/3", "5/12"], "beta": ["1/2", "1/4"]}],
+}
+_fuzz_int = st.one_of(st.integers(1, 30), st.integers(1, 30), st.integers(-30, 0)).map(str)
+_fuzz_rat = st.one_of(
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(1, 30)),
+    st.sampled_from(["0", "-1", "1/2", "1/3", "1/10", "1/100000"]),
+)
+_fuzz_malformed = st.sampled_from(
+    ["", "x", "1/0", "1//2", "1/-3", "nan", "inf", "1e400", "0x10", "--k", " 3 "]
+)
+_FUZZ_VALUES = {
+    "int": st.one_of(_fuzz_int, _fuzz_int, _fuzz_int, _fuzz_malformed),
+    "rat": st.one_of(_fuzz_rat, _fuzz_rat, _fuzz_rat, _fuzz_malformed),
+    "suite": st.sampled_from(["identities", "divisibility", "all", "none"]),
+}
+_FUZZ_COMMANDS = {
+    ("certify", "scalar"): {"--lambda": "rat", "--k": "int", "--r": "int", "--precision": "int"},
+    ("certify", "matrix"): {"--file": "matrix", "--k": "int", "--precision": "int"},
+    ("certify", "fuchsian"): {"--file": "system", "--k": "int", "--precision": "int"},
+    ("certify", "constcoef"): {"--file": "matrix", "--k": "int", "--degree-cap": "int"},
+    ("hyper", "series"): {"--alpha": "rat", "--beta": "rat", "--file": "params", "--N": "int"},
+    ("hyper", "system"): {"--alpha": "rat", "--beta": "rat", "--file": "params", "--N": "int"},
+    ("hyper", "lemma11"): {"--alpha": "rat", "--beta": "rat", "--file": "params", "--k": "int"},
+    ("hyper", "conditions"): {"--alpha": "rat", "--beta": "rat", "--file": "params"},
+    ("hyper", "theorem6"): {
+        "--alpha": "rat", "--beta": "rat", "--xi": "rat", "--epsilon": "rat", "--precision": "int",
+    },
+    ("verify",): {"--suite": "suite", "--seed": "int"},
+}
+#: what the output shows when a checked certificate or suite failed
+_REPORTED_FAILURE = re.compile(
+    r'divides = False|"divides": false'
+    r'|residual zero through z\^-?\d+: False|"residual_zero": false'
+    r'|FIRST FAILURE|"first_failure": "'
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """For each file kind, the paths of its good files (three times, to
+    weight them) and of the bad ones."""
+    base = tmp_path_factory.mktemp("argv")
+
+    def put(name, text):
+        (base / name).write_text(text)
+        return str(base / name)
+
+    bad = [put("shape.json", "[1, 2]"), put("broken.json", "[["), str(base / "missing.json")]
+    return {
+        kind: [put(f"{kind}{i}.json", json.dumps(v)) for i, v in enumerate(values)] * 3 + bad
+        for kind, values in _FUZZ_FILES.items()
+    }
+
+
+@st.composite
+def _argv(draw, files):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    argv = list(command)
+    for flag, kind in _FUZZ_COMMANDS[command].items():
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 2]))):
+            if flag == "--file":
+                value = draw(st.sampled_from(files[kind]))
+            else:
+                value = draw(_FUZZ_VALUES[kind])
+            argv.append(f"{flag}={value}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_argv_ends_in_documented_exit_code(fuzz_files, data):
+    argv = data.draw(_argv(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert _REPORTED_FAILURE.search(out.getvalue()), out.getvalue()

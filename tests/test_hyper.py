@@ -265,6 +265,32 @@ def test_theorem6_errors():
         hyper.theorem6(HyperParams.of([F(3, 2)], [F(1, 2)]), F(1, 7), F(1, 10))
 
 
+class _WriteRecorder:
+    """Stands in for a module-level object, forwards every read and records
+    the name of every attribute written."""
+
+    def __init__(self, target, writes):
+        object.__setattr__(self, "_target", target)
+        object.__setattr__(self, "_writes", writes)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+    def __setattr__(self, name, value):
+        self._writes.append(name)
+        setattr(self._target, name, value)
+
+
+@pytest.mark.parametrize("digits", [50, 80])
+def test_theorem6_leaves_global_interval_context_alone(monkeypatch, digits):
+    writes = []
+    monkeypatch.setattr(mpmath, "iv", _WriteRecorder(mpmath.iv, writes))
+    for params in catalog.HYPER_CATALOG:
+        rep = hyper.theorem6(params, F(1, 10**12), F(1, 10 * params.m + 20), digits=digits)
+        assert rep.decisive
+    assert writes == []
+
+
 def test_theorem6_report_json():
     rep = hyper.theorem6(catalog.HYPER_M1, F(1, 10**20), F(1, 10))
     d = rep.to_dict()
