@@ -3,20 +3,22 @@
 Everything here is deterministic and pure: p-adic valuations of factorials,
 the prime-power common denominators of scaled falling factorials, lcm(1..k),
 the trinomial-coefficient lcm g_k, and the real-valued growth constants
-chi(b) and rho(b).  Divisibility data is always exact integers; reals appear
-only in reported constants and are computed with mpmath at a configurable
-number of decimal digits (default 50).
+chi(b) and rho(b).  Divisibility data is always exact integers.  chi and rho
+return mpmath reals at a configurable number of decimal digits (default 50)
+for hyper.theorem6's constants Phi and C0, and chi is the oracle for the
+decimal certificate.growth_constant; mpmath is imported only inside them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
-
-import mpmath
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import NotPrime
+
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_DIGITS = 50
 
@@ -201,6 +203,8 @@ def prime_power_product(b: int, k: int) -> int:
 
 def chi(b: int, digits: int = DEFAULT_DIGITS) -> mpmath.mpf:
     """chi(b) = sum over primes p | b of ln(p)/(p-1)."""
+    import mpmath
+
     with mpmath.workdps(digits):
         return +mpmath.fsum(mpmath.log(p) / (p - 1) for p in prime_factors(b))
 
@@ -274,6 +278,8 @@ def rho_exact(b: int) -> Fraction:
 
 def rho(b: int, digits: int = DEFAULT_DIGITS) -> mpmath.mpf:
     """rho(b) of the averaged coprime harmonic sum, as a high-precision real."""
+    import mpmath
+
     r = rho_exact(b)
     with mpmath.workdps(digits):
         return mpmath.mpf(r.numerator) / r.denominator

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
-
+from . import arith
 from .arith import DEFAULT_DIGITS
 
 
@@ -19,9 +19,11 @@ class CancellationCertificate:
     divisor (None when no bound applies, e.g. non-commuting Fuchsian
     systems, where only the measurement is reported); divides is the exact
     verdict psi_k | bound_k.  log_ratio_per_k = ln(psi_k)/k and
-    asymptotic_constant are informational reals, computed at `digits`
-    decimal digits.  The JSON form carries "digits" only when it is not the
-    default 50, so default-precision output keeps its established shape.
+    asymptotic_constant are informational reals, computed with the standard
+    library's correctly rounded decimal arithmetic at `digits` decimal
+    digits and then rounded to float.  The JSON form carries "digits" only
+    when it is not the default 50, so default-precision output keeps its
+    established shape.
     """
 
     k: int
@@ -74,8 +76,8 @@ def make_certificate(
 ) -> CancellationCertificate:
     """Assemble a certificate; the divisibility verdict is recomputed here."""
     divides = None if bound_k is None else (bound_k % psi_k == 0)
-    with mpmath.workdps(digits):
-        log_ratio = float(mpmath.log(psi_k) / k) if k > 0 else 0.0
+    c = decimal.Context(prec=digits)
+    log_ratio = float(c.divide(c.ln(psi_k), k)) if k > 0 else 0.0
     const = None if asymptotic_constant is None else float(asymptotic_constant)
     return CancellationCertificate(
         k=k,
@@ -86,3 +88,14 @@ def make_certificate(
         asymptotic_constant=const,
         digits=digits,
     )
+
+
+def growth_constant(scale: int, b: int, shift: int, digits: int) -> float:
+    """scale * b * e^(chi(b) + shift), chi(b) = sum over primes p | b of
+    ln(p)/(p-1): the asymptotic constant of every family's certificate,
+    computed at `digits` decimal digits (arith.chi is the mpmath oracle)."""
+    c = decimal.Context(prec=digits)
+    chi = decimal.Decimal(0)
+    for p in arith.prime_factors(b):
+        chi = c.add(chi, c.divide(c.ln(p), p - 1))
+    return float(c.multiply(scale * b, c.exp(c.add(chi, shift))))

@@ -8,7 +8,9 @@ and ``errors``: each ``cmd_*`` handler imports the family module it drives
 (``falling``, ``matfun``, ``fuchs``, ``constcoef`` or ``hyper``), and only
 ``verify`` imports them all.  ``hyper`` itself loads ``fuchs`` and
 ``matfun`` only in the functions that build a matrix system, so ``hyper
-series``, ``conditions`` and ``theorem6`` load neither.
+series``, ``conditions`` and ``theorem6`` load neither.  Certificate reals
+come from ``decimal``, so only ``theorem6`` loads ``mpmath``, for its
+interval decision.
 """
 
 from __future__ import annotations

@@ -13,10 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-import mpmath
-
 from . import arith, falling
-from .certificate import CancellationCertificate, make_certificate
+from .certificate import CancellationCertificate, growth_constant, make_certificate
 from .errors import NotPrime, RepeatedRootMinPoly
 from .matfun import MatQ, _integer_form, matrix_delta, spectral
 from .poly import MultiPoly
@@ -322,6 +320,5 @@ def certify_constcoef(
         for _, D in falling.delta_steps(S, q, k):
             psi = lcm(psi, D)
     bound = t1t2**k * b**k * arith.prime_power_product(b, k)
-    with mpmath.workdps(digits):
-        const = t1t2 * b * mpmath.e ** arith.chi(b, digits)
+    const = growth_constant(t1t2, b, 0, digits)
     return make_certificate(k, psi, bound, const, digits)

@@ -16,10 +16,8 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterator
 
-import mpmath
-
 from . import arith
-from .certificate import CancellationCertificate, make_certificate
+from .certificate import CancellationCertificate, growth_constant, make_certificate
 
 
 def falling(lam: Fraction, n: int) -> Fraction:
@@ -129,8 +127,7 @@ def certify_scalar(
     b = lam.denominator
     psi = psi_scalar(lam, k, r)
     bound = scalar_bound(b, k, r)
-    with mpmath.workdps(digits):
-        const = b * mpmath.e ** (arith.chi(b, digits) + (r - 1))
+    const = growth_constant(1, b, r - 1, digits)
     return make_certificate(k, psi, bound, const, digits)
 
 
@@ -138,10 +135,11 @@ def certify_scalar_sweep(lam: Fraction, k_max: int, r: int = 1) -> list[bool]:
     """Divisibility verdicts for every k = 1..k_max.
 
     psi_k grows by the denominator of Delta_k(J_r(lam)), so one delta_steps
-    pass serves every k.
+    pass serves every k.  tau_p(k) = 0 for p > k, so the bound needs only
+    the primes p <= min(b, k_max) that divide b, and b is never factored.
     """
     b = lam.denominator
-    primes = arith.prime_factors(b)
+    primes = [p for p in arith.primes_upto(min(b, k_max)) if b % p == 0]
     psi = 1
     d_k = 1
     verdicts = []

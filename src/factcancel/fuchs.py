@@ -15,10 +15,8 @@ from itertools import chain
 from math import comb, factorial, gcd, lcm
 from typing import Iterator
 
-import mpmath
-
 from . import arith, falling
-from .certificate import CancellationCertificate, make_certificate
+from .certificate import CancellationCertificate, growth_constant, make_certificate
 from .errors import DimensionMismatch, IrrationalSpectrum, NotCommuting, SingularT
 from .matfun import (
     MatQ,
@@ -458,6 +456,5 @@ def certify_system(
                 * arith.lcm_upto(k) ** d_exp
                 * arith.prime_power_product(b, k)
             )
-            with mpmath.workdps(digits):
-                const = q * b * mpmath.e ** (arith.chi(b, digits) + (r_max - 1))
+            const = growth_constant(q, b, r_max - 1, digits)
     return make_certificate(k, psi, bound, const, digits)

@@ -9,6 +9,8 @@ constants C0 and eta0.
 
 ``fuchs`` and ``matfun`` are imported inside the functions that build a
 matrix system, so the series, conditions and theorem6 paths load neither.
+``mpmath`` is imported only by the real-valued Phi/C0 code (g_class_phi,
+theorem6 and its report); certificate constants come from ``decimal``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Optional
 
-import mpmath
-
 from . import arith, falling
-from .certificate import CancellationCertificate, make_certificate
+from .certificate import CancellationCertificate, growth_constant, make_certificate
 from .errors import (
     ConditionsFailed,
     EpsilonOutOfRange,
@@ -334,8 +334,7 @@ def certify_lemma11(
     target = arith.g_k(k) * a * b**k * arith.prime_power_product(b, k)
     if gamma_zero:
         target *= arith.lcm_upto(k)
-    with mpmath.workdps(digits):
-        const = b * mpmath.e ** (arith.chi(b, digits) + (3 if gamma_zero else 2))
+    const = growth_constant(1, b, 3 if gamma_zero else 2, digits)
     inner = make_certificate(k, psi_inner, target, const, digits)
     system = adjoint_fuchsian(params)
     measured = certify_system(system, k, digits=digits)
@@ -381,6 +380,8 @@ class GClassEstimate:
 def g_class_phi(
     params: HyperParams, digits: int = arith.DEFAULT_DIGITS
 ) -> GClassEstimate:
+    import mpmath
+
     q1 = 1
     for al in params.alpha:
         q1 *= al.denominator
@@ -585,6 +586,8 @@ class Theorem6Report:
     digits: int
 
     def to_dict(self) -> dict:
+        import mpmath
+
         return {
             "conditions": {
                 "linear": self.conditions.linear,
@@ -611,9 +614,9 @@ class Theorem6Report:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-#: theorem6's own interval context: its precision is set per call, and the
-#: global mpmath.iv is never written
-_IV = mpmath.ctx_iv.MPIntervalContext()
+#: theorem6's own interval context, made on its first call: its precision is
+#: set per call, and the global mpmath.iv is never written
+_IV = None
 
 
 def _height(params: HyperParams) -> Fraction:
@@ -640,6 +643,8 @@ def theorem6(
     is only reported when the inequality provably holds at the working
     precision (decisive=False flags a straddling interval).
     """
+    import mpmath
+
     xi = _fr(xi)
     epsilon = _fr(epsilon)
     if xi == 0:
@@ -672,6 +677,9 @@ def theorem6(
         eta0 = num / den if den != 0 else None
 
     # outward-rounded decision, in the private interval context
+    global _IV
+    if _IV is None:
+        _IV = mpmath.ctx_iv.MPIntervalContext()
     _IV.dps = digits
     ivH = _IV.mpf(H.numerator) / H.denominator
     iv_chi = _IV.mpf(0)

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-import mpmath
-
 from . import arith, falling
-from .certificate import CancellationCertificate, make_certificate
+from .certificate import CancellationCertificate, growth_constant, make_certificate
 from .errors import (
     DimensionMismatch,
     IrrationalSpectrum,
@@ -694,8 +692,7 @@ def certify_matrix(
     for _, D in falling.delta_steps(B, q, k):
         psi = lcm(psi, D)
     bound = matrix_bound(data, k)
-    with mpmath.workdps(digits):
-        const = data.b * mpmath.e ** (arith.chi(data.b, digits) + (data.r_max - 1))
+    const = growth_constant(1, data.b, data.r_max - 1, digits)
     return make_certificate(k, psi, bound, const, digits)
 
 

@@ -33,13 +33,15 @@ _SCALAR = {"factcancel", "factcancel.arith", "factcancel.certificate", "factcanc
 _MATRIX = _SCALAR | {"factcancel.matfun", "factcancel.poly"}
 _FUCHSIAN = _MATRIX | {"factcancel.fuchs"}
 _HYPER = _SCALAR | {"factcancel.hyper", "factcancel.poly"}
+_ALL = _FUCHSIAN | _HYPER | {"factcancel.catalog", "factcancel.constcoef"}
 
 
 def _modules_after(code, *argv):
-    """The factcancel modules loaded by a fresh interpreter running code."""
+    """The factcancel modules, and mpmath, loaded by a fresh interpreter
+    running code."""
     path = [str(_SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code += "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('factcancel')))"
+    code += "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('factcancel') or m == 'mpmath'))"
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
     )
@@ -55,18 +57,21 @@ def _modules_after(code, *argv):
         (["certify", "fuchsian", "--k", "12"], _SYSTEM_JSON, _FUCHSIAN),
         (["certify", "constcoef", "--k", "25"], _MATRIX_JSON, _MATRIX | {"factcancel.constcoef"}),
         (["hyper", "series", "--alpha", "1/3", "--beta", "1/2", "--N", "10"], None, _HYPER),
+        (["hyper", "system", "--alpha", "1/3", "--beta", "1/2", "--N", "40"], None, _FUCHSIAN | _HYPER),
+        # only the interval decision needs mpmath
         (
             ["hyper", "theorem6", "--alpha", "1/3", "--beta", "1/2", "--xi", "1/100000", "--epsilon", "1/10"],
             None,
-            _HYPER,
+            _HYPER | {"mpmath"},
         ),
         (
             ["hyper", "lemma11", "--alpha", "1/3", "--alpha", "1/5", "--beta", "1/2", "--beta", "1/4"],
             None,
             _FUCHSIAN | _HYPER,
         ),
+        (["verify", "--suite", "all", "--seed", "0"], None, _ALL),
     ],
-    ids=["scalar", "matrix", "fuchsian", "constcoef", "series", "theorem6", "lemma11"],
+    ids=["scalar", "matrix", "fuchsian", "constcoef", "series", "system", "theorem6", "lemma11", "verify"],
 )
 def test_subcommand_imports_only_its_family(tmp_path, argv, file_value, want):
     if file_value is not None:

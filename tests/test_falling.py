@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -84,6 +85,34 @@ def test_certify_scalar_sweep_consistent():
         assert all(sweep)
         for k in range(1, K + 1):
             assert sweep[k - 1] == falling.certify_scalar(lam, k, r).divides, (lam, r, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+    st.integers(1, 80),
+    st.integers(1, 3),
+)
+def test_certify_scalar_sweep_matches_factored_bound(lam, k_max, r):
+    # reference: the bound over every prime factor of b, psi measured afresh
+    b = lam.denominator
+    want = []
+    for k in range(1, k_max + 1):
+        ppp = 1
+        for p in arith.prime_factors(b):
+            ppp *= p ** arith.tau_p(p, k)
+        bound = b**k * arith.lcm_upto(k) ** (r - 1) * ppp
+        want.append(bound % falling.psi_scalar(lam, k, r) == 0)
+    assert falling.certify_scalar_sweep(lam, k_max, r) == want
+
+
+def test_certify_scalar_sweep_does_not_factor_b():
+    # b = (10^15 + 37)(10^15 + 91) is past the Miller-Rabin range, where
+    # is_prime falls back to trial division up to 10^15
+    lam = Fraction(1, 1000000000000128000000000003367)
+    start = time.perf_counter()
+    assert falling.certify_scalar_sweep(lam, 5) == [True] * 5
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=60, deadline=None)
