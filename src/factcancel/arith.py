@@ -189,8 +189,8 @@ def prime_power_product(b: int, k: int) -> int:
     the integers b^n <lambda>_n / n!, n <= k, for den(lambda) = b.
 
     tau_p(k) = 0 for p > k, so only the primes p <= min(b, k) are tried and
-    b is never factored: the cost is independent of the size of b's other
-    prime factors.
+    b is never factored.  This is the test reference for the factor that
+    certificate.bound_steps builds incrementally; no certificate calls it.
     """
     if b < 1 or k < 0:
         raise ValueError("need b >= 1 and k >= 0")

@@ -1,11 +1,12 @@
-"""The per-k exact denominator certificate shared by all certifying modules."""
+"""The per-k exact certificate, and its bound and constant, shared by all families."""
 
 from __future__ import annotations
 
 import decimal
 import json
 from dataclasses import dataclass
-from typing import Optional
+from math import gcd, lcm
+from typing import Iterator, Optional
 
 from . import arith
 from .arith import DEFAULT_DIGITS
@@ -99,3 +100,23 @@ def growth_constant(scale: int, b: int, shift: int, digits: int) -> float:
     for p in arith.prime_factors(b):
         chi = c.add(chi, c.divide(c.ln(p), p - 1))
     return float(c.multiply(scale * b, c.exp(c.add(chi, shift))))
+
+
+def bound_steps(b: int, k_max: int, base: int = 1, d_exp: int = 0) -> Iterator[int]:
+    """(base b)^k d_k^d_exp prod_{p|b} p^{tau_p(k)} for k = 1..k_max: the
+    divisor shape behind every family's bound_k, built incrementally.
+
+    prod_{p|b} p^{tau_p(k)} is the product over n <= k of the b-part of n,
+    peeled off n by repeated gcds, so b is never factored.
+    """
+    step = base * b
+    out = d_k = 1
+    for n in range(1, k_max + 1):
+        out *= step * (n // gcd(d_k, n)) ** d_exp
+        d_k = lcm(d_k, n)
+        g = gcd(n, b)
+        while g > 1:
+            out *= g
+            n //= g
+            g = gcd(n, g)
+        yield out

@@ -16,6 +16,8 @@ interval decision.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -36,31 +38,32 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 
 
-def _print_cert(cert, as_json: bool, extra: dict = None):
+def _print_cert(cert, as_json: bool, extra: dict = None) -> int:
+    """Print cert; its exit code is 1 only when a bound exists and fails."""
     if as_json:
-        d = cert.to_dict()
-        if extra:
-            d.update(extra)
-        print(json.dumps(d, sort_keys=True))
-        return
-    print(f"k = {cert.k}")
-    print(f"psi_k = {cert.psi_k}")
-    if cert.bound_k is None:
-        print("bound_k = (none: measurement only)")
+        print(json.dumps({**cert.to_dict(), **(extra or {})}, sort_keys=True))
     else:
-        print(f"bound_k = {cert.bound_k}")
-        print(f"divides = {cert.divides}")
-    print(f"ln(psi_k)/k = {cert.log_ratio_per_k:.6f}")
-    if cert.asymptotic_constant is not None:
-        print(f"asymptotic constant = {cert.asymptotic_constant:.6f}")
-    if extra:
-        for key, val in extra.items():
+        print(f"k = {cert.k}")
+        print(f"psi_k = {cert.psi_k}")
+        if cert.bound_k is None:
+            print("bound_k = (none: measurement only)")
+        else:
+            print(f"bound_k = {cert.bound_k}")
+            print(f"divides = {cert.divides}")
+        print(f"ln(psi_k)/k = {cert.log_ratio_per_k:.6f}")
+        if cert.asymptotic_constant is not None:
+            print(f"asymptotic constant = {cert.asymptotic_constant:.6f}")
+        for key, val in (extra or {}).items():
             print(f"{key} = {val}")
+    return EXIT_FAIL if cert.divides is False else EXIT_OK
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(exc) from exc
 
 
 def _hyper_params(args):
@@ -81,8 +84,7 @@ def cmd_certify_scalar(args) -> int:
 
     lam = arith.parse_rat(args.lam)
     cert = falling.certify_scalar(lam, args.k, args.r, digits=args.precision)
-    _print_cert(cert, args.json)
-    return EXIT_OK if cert.divides else EXIT_FAIL
+    return _print_cert(cert, args.json)
 
 
 def cmd_certify_matrix(args) -> int:
@@ -90,8 +92,7 @@ def cmd_certify_matrix(args) -> int:
 
     A = matfun.MatQ.from_json(_read_file(args.file))
     cert = matfun.certify_matrix(A, args.k, digits=args.precision)
-    _print_cert(cert, args.json)
-    return EXIT_OK if cert.divides else EXIT_FAIL
+    return _print_cert(cert, args.json)
 
 
 def cmd_certify_fuchsian(args) -> int:
@@ -99,11 +100,7 @@ def cmd_certify_fuchsian(args) -> int:
 
     system = fuchs.FuchsianSystem.from_json(_read_file(args.file))
     cert = fuchs.certify_system(system, args.k, digits=args.precision)
-    extra = {"no_bound": cert.bound_k is None}
-    _print_cert(cert, args.json, extra)
-    if cert.bound_k is None:
-        return EXIT_OK
-    return EXIT_OK if cert.divides else EXIT_FAIL
+    return _print_cert(cert, args.json, {"no_bound": cert.bound_k is None})
 
 
 def cmd_certify_constcoef(args) -> int:
@@ -114,8 +111,7 @@ def cmd_certify_constcoef(args) -> int:
     cert = constcoef.certify_constcoef(
         A, args.k, degree_cap=args.degree_cap, digits=args.precision
     )
-    _print_cert(cert, args.json)
-    return EXIT_OK if cert.divides else EXIT_FAIL
+    return _print_cert(cert, args.json)
 
 
 def cmd_hyper(args) -> int:
@@ -419,14 +415,22 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    out = io.StringIO()
     try:
-        return args.fn(args)
+        with contextlib.redirect_stdout(out):
+            code = args.fn(args)
     except (IrrationalSpectrum, NotCommuting, RepeatedRootMinPoly) as exc:
         print(f"unsupported input: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (ValueError, OSError, json.JSONDecodeError, FactCancelError) as exc:
+        code = EXIT_UNSUPPORTED
+    except (ValueError, FactCancelError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code = EXIT_INPUT
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        pass  # the reader closed the pipe early: not an input error
+    return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from . import arith, falling
-from .certificate import CancellationCertificate, growth_constant, make_certificate
+from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
 from .errors import NotPrime, RepeatedRootMinPoly
 from .matfun import MatQ, _integer_form, matrix_delta, spectral
 from .poly import MultiPoly
@@ -319,6 +319,7 @@ def certify_constcoef(
     for S in _induced_matrices(qA, degree_cap):
         for _, D in falling.delta_steps(S, q, k):
             psi = lcm(psi, D)
-    bound = t1t2**k * b**k * arith.prime_power_product(b, k)
+    for bound in bound_steps(b, k, base=t1t2):
+        pass
     const = growth_constant(t1t2, b, 0, digits)
     return make_certificate(k, psi, bound, const, digits)

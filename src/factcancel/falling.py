@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import Iterator
 
 from . import arith
-from .certificate import CancellationCertificate, growth_constant, make_certificate
+from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
 
 
 def falling(lam: Fraction, n: int) -> Fraction:
@@ -104,11 +104,6 @@ def delta_derivatives_via_shift(lam: Fraction, n: int, r: int) -> list[Fraction]
     return [shifted[j] for j in range(r)]
 
 
-def scalar_bound(b: int, k: int, r: int) -> int:
-    """b^k d_k^{r-1} prod_{p|b} p^{tau_p(k)}."""
-    return b**k * arith.lcm_upto(k) ** (r - 1) * arith.prime_power_product(b, k)
-
-
 def psi_scalar(lam: Fraction, k: int, r: int = 1) -> int:
     """Measured lcm of the denominators of Delta_n^{(j)}(lam)/j!,
     j < r, n <= k, from one delta_steps pass over J_r(lam)."""
@@ -126,7 +121,8 @@ def certify_scalar(
         raise ValueError("k and r must be >= 1")
     b = lam.denominator
     psi = psi_scalar(lam, k, r)
-    bound = scalar_bound(b, k, r)
+    for bound in bound_steps(b, k, d_exp=r - 1):
+        pass
     const = growth_constant(1, b, r - 1, digits)
     return make_certificate(k, psi, bound, const, digits)
 
@@ -134,23 +130,13 @@ def certify_scalar(
 def certify_scalar_sweep(lam: Fraction, k_max: int, r: int = 1) -> list[bool]:
     """Divisibility verdicts for every k = 1..k_max.
 
-    psi_k grows by the denominator of Delta_k(J_r(lam)), so one delta_steps
-    pass serves every k.  tau_p(k) = 0 for p > k, so the bound needs only
-    the primes p <= min(b, k_max) that divide b, and b is never factored.
+    psi_k grows by the denominator of Delta_k(J_r(lam)), and bound_steps
+    grows the bound alongside, so one pass serves every k.
     """
-    b = lam.denominator
-    primes = [p for p in arith.primes_upto(min(b, k_max)) if b % p == 0]
-    psi = 1
-    d_k = 1
+    steps = _jordan_steps(lam, k_max, r)
+    _, psi = next(steps)  # Delta_0 = I, so psi starts at 1
     verdicts = []
-    for k, (_, D) in enumerate(_jordan_steps(lam, k_max, r)):
+    for (_, D), bound in zip(steps, bound_steps(lam.denominator, k_max, d_exp=r - 1)):
         psi = lcm(psi, D)
-        if k == 0:
-            continue
-        d_k = lcm(d_k, k)
-        ppp = 1
-        for p in primes:
-            ppp *= p ** arith.tau_p(p, k)
-        bound = b**k * d_k ** (r - 1) * ppp
         verdicts.append(bound % psi == 0)
     return verdicts

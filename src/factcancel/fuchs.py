@@ -12,11 +12,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterator
 
 from . import arith, falling
-from .certificate import CancellationCertificate, growth_constant, make_certificate
+from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
 from .errors import DimensionMismatch, IrrationalSpectrum, NotCommuting, SingularT
 from .matfun import (
     MatQ,
@@ -434,27 +434,18 @@ def certify_system(
         except IrrationalSpectrum:
             datas = None
         if datas is not None:
-            b = 1
-            for data in datas:
-                b = lcm(b, data.b)
-            q = 1
-            for g in system.gammas:
-                q *= g.denominator
+            b = lcm(*(data.b for data in datas))
+            q = prod(g.denominator for g in system.gammas)
             r_max = max(data.r_max for data in datas)
             if all(data.r_max == 1 for data in datas):
                 T_sim = simultaneous_eigenbasis(list(system.residues))
                 t = T_sim.entry_denominator() * T_sim.inverse().entry_denominator()
                 d_exp = 0
             else:
-                t = 1
-                for data in datas:
-                    t *= data.t1 * data.t2
+                t = prod(data.t1 * data.t2 for data in datas)
                 d_exp = sum(data.r_max - 1 for data in datas)
-            bound = (
-                t
-                * (q * b) ** k
-                * arith.lcm_upto(k) ** d_exp
-                * arith.prime_power_product(b, k)
-            )
+            for bound in bound_steps(b, k, base=q, d_exp=d_exp):
+                pass
+            bound *= t
             const = growth_constant(q, b, r_max - 1, digits)
     return make_certificate(k, psi, bound, const, digits)

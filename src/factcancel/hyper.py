@@ -23,7 +23,7 @@ from math import comb, factorial, gcd, lcm
 from typing import Optional
 
 from . import arith, falling
-from .certificate import CancellationCertificate, growth_constant, make_certificate
+from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
 from .errors import (
     ConditionsFailed,
     EpsilonOutOfRange,
@@ -331,9 +331,9 @@ def certify_lemma11(
         psi_inner = lcm(
             psi_inner, D if gamma_zero else (g * Fraction(_content(N), D)).denominator
         )
-    target = arith.g_k(k) * a * b**k * arith.prime_power_product(b, k)
-    if gamma_zero:
-        target *= arith.lcm_upto(k)
+    for target in bound_steps(b, k, d_exp=int(gamma_zero)):
+        pass
+    target *= arith.g_k(k) * a
     const = growth_constant(1, b, 3 if gamma_zero else 2, digits)
     inner = make_certificate(k, psi_inner, target, const, digits)
     system = adjoint_fuchsian(params)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from . import arith, falling
-from .certificate import CancellationCertificate, growth_constant, make_certificate
+from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
 from .errors import (
     DimensionMismatch,
     IrrationalSpectrum,
@@ -667,23 +667,12 @@ def conjugation_check(A: MatQ, T: MatQ, n: int) -> bool:
     return lhs == rhs
 
 
-def matrix_bound(data: SpectralData, k: int) -> int:
-    """t1 t2 b^k d_k^{r-1} prod_{p|b} p^{tau_p(k)}."""
-    return (
-        data.t1
-        * data.t2
-        * data.b**k
-        * arith.lcm_upto(k) ** (data.r_max - 1)
-        * arith.prime_power_product(data.b, k)
-    )
-
-
 def certify_matrix(
     A: MatQ, k: int, digits: int = arith.DEFAULT_DIGITS
 ) -> CancellationCertificate:
     """psi_k = exact lcm of entry denominators of Delta_n(A), n <= k, from
     one falling.delta_steps pass over q A (q = entry denominator of A);
-    certified against matrix_bound."""
+    certified against t1 t2 b^k d_k^{r-1} prod_{p|b} p^{tau_p(k)}."""
     if k < 1:
         raise ValueError("k must be >= 1")
     data = spectral(A)
@@ -691,7 +680,9 @@ def certify_matrix(
     psi = 1
     for _, D in falling.delta_steps(B, q, k):
         psi = lcm(psi, D)
-    bound = matrix_bound(data, k)
+    for bound in bound_steps(data.b, k, d_exp=data.r_max - 1):
+        pass
+    bound *= data.t1 * data.t2
     const = growth_constant(1, data.b, data.r_max - 1, digits)
     return make_certificate(k, psi, bound, const, digits)
 

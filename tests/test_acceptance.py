@@ -83,7 +83,14 @@ def test_criterion_4_matrix_certificates():
         for n, M in enumerate(matfun.matrix_delta_table(A, 60)):
             psi = lcm(psi, M.entry_denominator())
             if n >= 1:
-                ok = ok and matfun.matrix_bound(data, n) % psi == 0
+                bound = (
+                    data.t1
+                    * data.t2
+                    * data.b**n
+                    * arith.lcm_upto(n) ** (data.r_max - 1)
+                    * arith.prime_power_product(data.b, n)
+                )
+                ok = ok and bound % psi == 0
     for k in (1, 7, 30, 60):
         ok = ok and matfun.certify_matrix(catalog.IDEMPOTENT_HALF, k).psi_k == 2
     report(4, ok, "matrix certificates, every k <= 60, including psi_k = 2 example")

@@ -1,9 +1,12 @@
+import math
+import time
+
 import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factcancel import arith
-from factcancel.certificate import growth_constant, make_certificate
+from factcancel.certificate import bound_steps, growth_constant, make_certificate
 
 # the certificate reals are computed with decimal; mpmath, under workdps, is
 # the oracle they must reproduce
@@ -53,3 +56,33 @@ def test_low_precision_reports_the_requested_digits():
     cert = make_certificate(1, 2, 2, growth_constant(1, 2, 0, 5), 5)
     assert cert.log_ratio_per_k == 0.69315
     assert cert.asymptotic_constant == 4.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.integers(1, 10**6),
+    base=st.integers(1, 50),
+    d_exp=st.integers(0, 3),
+    k_max=st.integers(0, 80),
+)
+def test_bound_steps_matches_factored_formula(b, base, d_exp, k_max):
+    primes = arith.prime_factors(b)
+    want = [
+        (base * b) ** k
+        * arith.lcm_upto(k) ** d_exp
+        * math.prod(p ** arith.tau_p(p, k) for p in primes)
+        for k in range(1, k_max + 1)
+    ]
+    assert list(bound_steps(b, k_max, base, d_exp)) == want
+
+
+def test_bound_steps_does_not_factor_b():
+    # b = (10^15 + 37)(10^15 + 91) is past the Miller-Rabin range, where
+    # is_prime falls back to trial division up to 10^15
+    b = (10**15 + 37) * (10**15 + 91)
+    start = time.perf_counter()
+    *_, last = bound_steps(b, 60)
+    assert last == b**60
+    *_, last = bound_steps(b * 2**3 * 7, 60, d_exp=1)
+    assert last == (b * 2**3 * 7) ** 60 * arith.lcm_upto(60) * 2**56 * 7**9
+    assert time.perf_counter() - start < 1.0

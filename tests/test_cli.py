@@ -36,14 +36,18 @@ _HYPER = _SCALAR | {"factcancel.hyper", "factcancel.poly"}
 _ALL = _FUCHSIAN | _HYPER | {"factcancel.catalog", "factcancel.constcoef"}
 
 
+def _env():
+    """The environment of a fresh interpreter that imports factcancel from src."""
+    path = [str(_SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def _modules_after(code, *argv):
     """The factcancel modules, and mpmath, loaded by a fresh interpreter
     running code."""
-    path = [str(_SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     code += "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('factcancel') or m == 'mpmath'))"
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
@@ -160,6 +164,54 @@ def test_constcoef_degree_cap_below_one_exits_2(tmp_path, capsys, cap):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
+
+
+def test_missing_file_exits_2(tmp_path, capsys):
+    code = main(["certify", "matrix", "--file", str(tmp_path / "missing.json"), "--k", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: [Errno 2]")
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["certify", "scalar", "--lambda", "1/3", "--k", "40"], 0),
+        (["verify", "--suite", "identities", "--self-test-fail", "--json"], 1),
+    ],
+    ids=["certificate", "failed-verify"],
+)
+def test_closed_stdout_keeps_the_verdict(argv, want):
+    # a closed pipe is not bad input: the exit code stays the handler's
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_ClosedStdout()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == want
+    assert err.getvalue() == ""
+
+
+def test_closed_pipe_exits_0_with_empty_stderr():
+    # the reader's end is closed before the CLI starts, so every write to
+    # stdout fails; stderr must stay empty through interpreter exit
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "factcancel.cli", "certify", "scalar", "--lambda", "1/3",
+             "--k", "40"],
+            stdout=w, stderr=subprocess.PIPE, env=_env(), timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 # Small JSON values of any shape, and well-formed matrices, Fuchsian systems

@@ -56,7 +56,7 @@ def test_delta_poly_coeffs_evaluates():
 def test_certify_scalar_divides(lam):
     cert = falling.certify_scalar(lam, 60)
     assert cert.divides
-    assert cert.bound_k == falling.scalar_bound(lam.denominator, 60, 1)
+    assert cert.bound_k == lam.denominator**60 * arith.prime_power_product(lam.denominator, 60)
 
 
 def test_integer_lambda_unit_denominator():
