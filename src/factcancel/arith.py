@@ -2,11 +2,11 @@
 
 Everything here is deterministic and pure: p-adic valuations of factorials,
 the prime-power common denominators of scaled falling factorials, lcm(1..k),
-the trinomial-coefficient lcm g_k, and the real-valued growth constants
-chi(b) and rho(b).  Divisibility data is always exact integers.  chi and rho
-return mpmath reals at a configurable number of decimal digits (default 50)
-for hyper.theorem6's constants Phi and C0, and chi is the oracle for the
-decimal certificate.growth_constant; mpmath is imported only inside them.
+the trinomial-coefficient lcm g_k, and the growth constants chi(b) and
+rho(b).  Divisibility data is always exact integers.  rho_exact is the exact
+rational that hyper encloses Phi from; chi returns an mpmath real (mpmath is
+imported only inside it) and is the oracle that tests and scripts compare
+certificate.growth_constant and hyper.theorem6's C0 with.
 """
 
 from __future__ import annotations
@@ -275,11 +275,3 @@ def rho_exact(b: int) -> Fraction:
     harm = sum((Fraction(1, n) for n in coprime), Fraction(0))
     return Fraction(b, len(coprime)) * harm
 
-
-def rho(b: int, digits: int = DEFAULT_DIGITS) -> mpmath.mpf:
-    """rho(b) of the averaged coprime harmonic sum, as a high-precision real."""
-    import mpmath
-
-    r = rho_exact(b)
-    with mpmath.workdps(digits):
-        return mpmath.mpf(r.numerator) / r.denominator

@@ -9,7 +9,10 @@ from math import gcd, lcm
 from typing import Iterator, Optional
 
 from . import arith
-from .arith import DEFAULT_DIGITS
+
+#: the one decimal context of the certificate reals: 50 digits, far past the
+#: double that each real is rounded to
+_DEC = decimal.Context(prec=arith.DEFAULT_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -21,10 +24,8 @@ class CancellationCertificate:
     systems, where only the measurement is reported); divides is the exact
     verdict psi_k | bound_k.  log_ratio_per_k = ln(psi_k)/k and
     asymptotic_constant are informational reals, computed with the standard
-    library's correctly rounded decimal arithmetic at `digits` decimal
-    digits and then rounded to float.  The JSON form carries "digits" only
-    when it is not the default 50, so default-precision output keeps its
-    established shape.
+    library's correctly rounded decimal arithmetic at 50 digits and then
+    rounded to float.
     """
 
     k: int
@@ -33,10 +34,9 @@ class CancellationCertificate:
     divides: Optional[bool]
     log_ratio_per_k: float
     asymptotic_constant: Optional[float]
-    digits: int = DEFAULT_DIGITS
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "k": self.k,
             "psi_k": str(self.psi_k),
             "bound_k": None if self.bound_k is None else str(self.bound_k),
@@ -44,9 +44,6 @@ class CancellationCertificate:
             "log_ratio_per_k": self.log_ratio_per_k,
             "asymptotic_constant": self.asymptotic_constant,
         }
-        if self.digits != DEFAULT_DIGITS:
-            d["digits"] = self.digits
-        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -60,7 +57,6 @@ class CancellationCertificate:
             divides=d["divides"],
             log_ratio_per_k=d["log_ratio_per_k"],
             asymptotic_constant=d["asymptotic_constant"],
-            digits=d.get("digits", DEFAULT_DIGITS),
         )
 
     @staticmethod
@@ -73,12 +69,10 @@ def make_certificate(
     psi_k: int,
     bound_k: Optional[int],
     asymptotic_constant=None,
-    digits: int = DEFAULT_DIGITS,
 ) -> CancellationCertificate:
     """Assemble a certificate; the divisibility verdict is recomputed here."""
     divides = None if bound_k is None else (bound_k % psi_k == 0)
-    c = decimal.Context(prec=digits)
-    log_ratio = float(c.divide(c.ln(psi_k), k)) if k > 0 else 0.0
+    log_ratio = float(_DEC.divide(_DEC.ln(psi_k), k)) if k > 0 else 0.0
     const = None if asymptotic_constant is None else float(asymptotic_constant)
     return CancellationCertificate(
         k=k,
@@ -87,19 +81,17 @@ def make_certificate(
         divides=divides,
         log_ratio_per_k=log_ratio,
         asymptotic_constant=const,
-        digits=digits,
     )
 
 
-def growth_constant(scale: int, b: int, shift: int, digits: int) -> float:
+def growth_constant(scale: int, b: int, shift: int) -> float:
     """scale * b * e^(chi(b) + shift), chi(b) = sum over primes p | b of
     ln(p)/(p-1): the asymptotic constant of every family's certificate,
-    computed at `digits` decimal digits (arith.chi is the mpmath oracle)."""
-    c = decimal.Context(prec=digits)
+    computed at 50 decimal digits (arith.chi is the mpmath oracle)."""
     chi = decimal.Decimal(0)
     for p in arith.prime_factors(b):
-        chi = c.add(chi, c.divide(c.ln(p), p - 1))
-    return float(c.multiply(scale * b, c.exp(c.add(chi, shift))))
+        chi = _DEC.add(chi, _DEC.divide(_DEC.ln(p), p - 1))
+    return float(_DEC.multiply(scale * b, _DEC.exp(_DEC.add(chi, shift))))
 
 
 def bound_steps(b: int, k_max: int, base: int = 1, d_exp: int = 0) -> Iterator[int]:

@@ -10,7 +10,7 @@ and ``errors``: each ``cmd_*`` handler imports the family module it drives
 ``matfun`` only in the functions that build a matrix system, so ``hyper
 series``, ``conditions`` and ``theorem6`` load neither.  Certificate reals
 come from ``decimal``, so only ``theorem6`` loads ``mpmath``, for its
-interval decision.
+interval decision; its ``--precision`` is the one precision flag.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def cmd_certify_scalar(args) -> int:
     from . import falling
 
     lam = arith.parse_rat(args.lam)
-    cert = falling.certify_scalar(lam, args.k, args.r, digits=args.precision)
+    cert = falling.certify_scalar(lam, args.k, args.r)
     return _print_cert(cert, args.json)
 
 
@@ -91,7 +91,7 @@ def cmd_certify_matrix(args) -> int:
     from . import matfun
 
     A = matfun.MatQ.from_json(_read_file(args.file))
-    cert = matfun.certify_matrix(A, args.k, digits=args.precision)
+    cert = matfun.certify_matrix(A, args.k)
     return _print_cert(cert, args.json)
 
 
@@ -99,7 +99,7 @@ def cmd_certify_fuchsian(args) -> int:
     from . import fuchs
 
     system = fuchs.FuchsianSystem.from_json(_read_file(args.file))
-    cert = fuchs.certify_system(system, args.k, digits=args.precision)
+    cert = fuchs.certify_system(system, args.k)
     return _print_cert(cert, args.json, {"no_bound": cert.bound_k is None})
 
 
@@ -108,9 +108,7 @@ def cmd_certify_constcoef(args) -> int:
     from .matfun import MatQ
 
     A = MatQ.from_json(_read_file(args.file))
-    cert = constcoef.certify_constcoef(
-        A, args.k, degree_cap=args.degree_cap, digits=args.precision
-    )
+    cert = constcoef.certify_constcoef(A, args.k, degree_cap=args.degree_cap)
     return _print_cert(cert, args.json)
 
 
@@ -141,7 +139,7 @@ def cmd_hyper(args) -> int:
             print(f"residual zero through z^{args.N - 1}: {ok}")
         return EXIT_OK if ok else EXIT_FAIL
     if args.hyper_cmd == "lemma11":
-        cert = hyper.certify_lemma11(params, args.k, digits=args.precision)
+        cert = hyper.certify_lemma11(params, args.k)
         if args.json:
             print(
                 json.dumps(
@@ -298,8 +296,6 @@ def cmd_verify(args) -> int:
         checks += _identity_checks(args.seed)
     if args.suite in ("divisibility", "all"):
         checks += _divisibility_checks(args.seed)
-    if args.self_test_fail:
-        checks.append(("self-test", lambda: False))
     tally = {}
     first_failure = None
     for name, fn in checks:
@@ -349,10 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="factcancel")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, precision=True):
+    def common(p):
         p.add_argument("--json", action="store_true")
-        if precision:
-            p.add_argument("--precision", type=positive_int, default=arith.DEFAULT_DIGITS)
 
     cert = sub.add_parser("certify")
     csub = cert.add_subparsers(dest="target", required=True)
@@ -397,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "theorem6":
             p.add_argument("--xi", required=True)
             p.add_argument("--epsilon", required=True)
-        common(p, precision=name in ("lemma11", "theorem6"))
+            p.add_argument("--precision", type=positive_int, default=arith.DEFAULT_DIGITS)
+        common(p)
         p.set_defaults(fn=cmd_hyper)
 
     p = sub.add_parser("verify")
     p.add_argument("--suite", choices=("identities", "divisibility", "all"), default="all")
-    p.add_argument("--self-test-fail", dest="self_test_fail", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    common(p, precision=False)
+    common(p)
     p.set_defaults(fn=cmd_verify)
     return ap
 

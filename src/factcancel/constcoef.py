@@ -293,7 +293,7 @@ def _induced_matrices(qA: list[list[int]], degree_cap: int):
 
 
 def certify_constcoef(
-    A: MatQ, k: int, degree_cap: int = 4, digits: int = arith.DEFAULT_DIGITS
+    A: MatQ, k: int, degree_cap: int = 4
 ) -> CancellationCertificate:
     """psi_k = lcm of coefficient denominators of (1/n!) A_n applied to all
     monomials of degree <= degree_cap, n <= k; the target divisor is
@@ -321,5 +321,5 @@ def certify_constcoef(
             psi = lcm(psi, D)
     for bound in bound_steps(b, k, base=t1t2):
         pass
-    const = growth_constant(t1t2, b, 0, digits)
-    return make_certificate(k, psi, bound, const, digits)
+    const = growth_constant(t1t2, b, 0)
+    return make_certificate(k, psi, bound, const)

@@ -16,7 +16,6 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterator
 
-from . import arith
 from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
 
 
@@ -113,9 +112,7 @@ def psi_scalar(lam: Fraction, k: int, r: int = 1) -> int:
     return out
 
 
-def certify_scalar(
-    lam: Fraction, k: int, r: int = 1, digits: int = arith.DEFAULT_DIGITS
-) -> CancellationCertificate:
+def certify_scalar(lam: Fraction, k: int, r: int = 1) -> CancellationCertificate:
     """Exact certificate: psi_k | b^k d_k^{r-1} prod p^{tau_p(k)}."""
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
@@ -123,8 +120,8 @@ def certify_scalar(
     psi = psi_scalar(lam, k, r)
     for bound in bound_steps(b, k, d_exp=r - 1):
         pass
-    const = growth_constant(1, b, r - 1, digits)
-    return make_certificate(k, psi, bound, const, digits)
+    const = growth_constant(1, b, r - 1)
+    return make_certificate(k, psi, bound, const)
 
 
 def certify_scalar_sweep(lam: Fraction, k_max: int, r: int = 1) -> list[bool]:

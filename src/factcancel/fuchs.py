@@ -409,11 +409,7 @@ def simultaneous_eigenbasis(mats: list[MatQ]) -> MatQ:
 # certificates
 
 
-def certify_system(
-    system: FuchsianSystem,
-    k: int,
-    digits: int = arith.DEFAULT_DIGITS,
-) -> CancellationCertificate:
+def certify_system(system: FuchsianSystem, k: int) -> CancellationCertificate:
     """psi_k = exact lcm over n <= k of coefficient denominators of
     T^n Q^[n]/n!.  For pairwise commuting residues with rational spectra the
     certificate also carries the divisor bound
@@ -447,5 +443,5 @@ def certify_system(
             for bound in bound_steps(b, k, base=q, d_exp=d_exp):
                 pass
             bound *= t
-            const = growth_constant(q, b, r_max - 1, digits)
-    return make_certificate(k, psi, bound, const, digits)
+            const = growth_constant(q, b, r_max - 1)
+    return make_certificate(k, psi, bound, const)

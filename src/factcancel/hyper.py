@@ -9,8 +9,10 @@ constants C0 and eta0.
 
 ``fuchs`` and ``matfun`` are imported inside the functions that build a
 matrix system, so the series, conditions and theorem6 paths load neither.
-``mpmath`` is imported only by the real-valued Phi/C0 code (g_class_phi,
-theorem6 and its report); certificate constants come from ``decimal``.
+``mpmath`` is imported only by the interval code (g_class_phi, theorem6 and
+its report): Phi, chi(b0), C0 and eta0 are each enclosed once, in a private
+interval context, and reported as the midpoints of those enclosures.
+Certificate constants come from ``decimal``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import Optional
 
 from . import arith, falling
@@ -31,7 +33,7 @@ from .errors import (
     RepeatedBeta,
     XiZero,
 )
-from .poly import RatFun, SeriesQ, UniPoly, delta_series
+from .poly import SeriesQ, UniPoly, delta_series
 
 
 def _fr(x) -> Fraction:
@@ -313,9 +315,7 @@ class Lemma11Certificate:
     t2: int
 
 
-def certify_lemma11(
-    params: HyperParams, k: int, digits: int = arith.DEFAULT_DIGITS
-) -> Lemma11Certificate:
+def certify_lemma11(params: HyperParams, k: int) -> Lemma11Certificate:
     from .fuchs import FuchsianSystem, _content, _scaled_qn, certify_system
 
     if k < 1:
@@ -334,13 +334,13 @@ def certify_lemma11(
     for target in bound_steps(b, k, d_exp=int(gamma_zero)):
         pass
     target *= arith.g_k(k) * a
-    const = growth_constant(1, b, 3 if gamma_zero else 2, digits)
-    inner = make_certificate(k, psi_inner, target, const, digits)
+    const = growth_constant(1, b, 3 if gamma_zero else 2)
+    inner = make_certificate(k, psi_inner, target, const)
     system = adjoint_fuchsian(params)
-    measured = certify_system(system, k, digits=digits)
+    measured = certify_system(system, k)
     t1 = forms.T.entry_denominator()
     t2 = forms.T_inv.entry_denominator()
-    outer = make_certificate(k, measured.psi_k, t1 * t2 * target, const, digits)
+    outer = make_certificate(k, measured.psi_k, t1 * t2 * target, const)
     return Lemma11Certificate(
         inner=inner, outer=outer, gamma_zero=gamma_zero, a=a, b=b, t1=t1, t2=t2
     )
@@ -363,6 +363,29 @@ def partial_fraction_identity(n1: int, n2: int) -> bool:
     return rhs == UniPoly.one()
 
 
+#: the private interval context of Phi and theorem6, made on first use: its
+#: precision is set per call, and the global mpmath.iv is never written
+_IV = None
+
+
+def _interval_context(digits: int):
+    """The private interval context, set to `digits` decimal digits."""
+    global _IV
+    if _IV is None:
+        import mpmath
+
+        _IV = mpmath.ctx_iv.MPIntervalContext()
+    _IV.dps = digits
+    return _IV
+
+
+def _mid(x):
+    """The midpoint of the interval x, as an mpmath.mpf with all its bits."""
+    import mpmath
+
+    return mpmath.mp.make_mpf(x.mid._mpi_[0])
+
+
 @dataclass(frozen=True)
 class GClassEstimate:
     """Geometric-growth data of the series: common denominators of the
@@ -380,19 +403,26 @@ class GClassEstimate:
 def g_class_phi(
     params: HyperParams, digits: int = arith.DEFAULT_DIGITS
 ) -> GClassEstimate:
-    import mpmath
+    """Phi = e^{rho(b_1) + ... + rho(b_m)} q1/b, b_j = den(beta_j), as the
+    midpoint of its enclosure at `digits` decimal digits."""
+    return _phi_enclosure(params, digits)[0]
 
-    q1 = 1
-    for al in params.alpha:
-        q1 *= al.denominator
-    q2 = 1
-    for be in params.beta:
-        q2 *= be.denominator
+
+def _phi_enclosure(params: HyperParams, digits: int) -> tuple[GClassEstimate, object]:
+    """The G-class data, with Phi the midpoint, and the interval enclosure
+    of Phi in the private interval context at `digits` digits."""
+    iv = _interval_context(digits)
+    q1 = prod(al.denominator for al in params.alpha)
+    q2 = prod(be.denominator for be in params.beta)
     b = lcm(q1, q2)
     b_js = tuple(be.denominator for be in params.beta)
-    with mpmath.workdps(digits):
-        Phi = mpmath.e ** mpmath.fsum(arith.rho(bj, digits) for bj in b_js) * q1 / b
-    return GClassEstimate(radius=1, Phi=Phi, b=b, q1=q1, q2=q2, b_js=b_js, digits=digits)
+    rho = iv.mpf(0)
+    for bj in b_js:
+        r = arith.rho_exact(bj)
+        rho += iv.mpf(r.numerator) / r.denominator
+    phi = iv.exp(rho) * q1 / b
+    est = GClassEstimate(radius=1, Phi=_mid(phi), b=b, q1=q1, q2=q2, b_js=b_js, digits=digits)
+    return est, phi
 
 
 def phi_empirical_check(params: HyperParams, k: int) -> bool:
@@ -422,7 +452,8 @@ class WronskianReport:
 
 def wronskian_checks(params: HyperParams) -> WronskianReport:
     """Trace of the homogeneous system equals (beta - z alpha)/(z(z-1)) with
-    alpha = sigma_1(alpha), beta = sigma_1(beta); the exponent pair (e0, e1)
+    alpha = sigma_1(alpha), beta = sigma_1(beta), checked with the
+    denominator z(z-1) cleared; the exponent pair (e0, e1)
     with z^{e0}(1-z)^{e1} solving the first-order Wronskian equation is
     derived by coefficient matching; (e0_alt, e1_alt) records the commonly
     quoted pair, which flips the sign of the exponent at z = 1."""
@@ -435,11 +466,9 @@ def wronskian_checks(params: HyperParams) -> WronskianReport:
     m = params.m
     A0 = MatQ([[system.residues[0][i, j] for j in range(1, m + 1)] for i in range(1, m + 1)])
     A1 = MatQ([[system.residues[1][i, j] for j in range(1, m + 1)] for i in range(1, m + 1)])
-    trace = RatFun(UniPoly.constant(A0.trace()), UniPoly((0, 1))) + RatFun(
-        UniPoly.constant(A1.trace()), UniPoly((-1, 1))
-    )
-    want = RatFun(UniPoly((be, -al)), UniPoly((0, -1, 1)))  # (beta - z alpha)/(z^2 - z)
-    trace_ok = trace == want
+    # tr A0/z + tr A1/(z-1) = (beta - z alpha)/(z(z-1)), times z(z-1)
+    trace = UniPoly((-1, 1)).scale(A0.trace()) + UniPoly((0, 1)).scale(A1.trace())
+    trace_ok = trace == UniPoly((be, -al))
     # delta log y + beta = z (delta log y + alpha) for y = z^e0 (1-z)^e1:
     # matching coefficients of (e0+beta)(1-z) - e1 z = z(e0+alpha)(1-z) - e1 z^2
     e0 = -be
@@ -614,11 +643,6 @@ class Theorem6Report:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-#: theorem6's own interval context, made on its first call: its precision is
-#: set per call, and the global mpmath.iv is never written
-_IV = None
-
-
 def _height(params: HyperParams) -> Fraction:
     """Max absolute coefficient of prod (z+alpha_i) and prod (z+beta_j),
     leading 1 included."""
@@ -631,7 +655,6 @@ def theorem6(
     params: HyperParams,
     xi: Fraction,
     epsilon: Fraction,
-    eta=None,
     digits: int = arith.DEFAULT_DIGITS,
 ) -> Theorem6Report:
     """Evaluate the explicit irrationality criterion for f(xi).
@@ -642,9 +665,12 @@ def theorem6(
     lowest terms; evaluated in interval arithmetic so that irrational=True
     is only reported when the inequality provably holds at the working
     precision (decisive=False flags a straddling interval).
-    """
-    import mpmath
 
+    Phi, chi(b0), C0 and eta0 = num/den, num = (1+eps) ln a2 + ln C0,
+    den = (1-(m+2)eps) ln a2 - ln C0 - (2-(m+1)eps) ln|a1|, are each
+    enclosed once, at `digits` decimal digits; the report carries the
+    midpoints of those enclosures, and eta0 is None when den contains 0.
+    """
     xi = _fr(xi)
     epsilon = _fr(epsilon)
     if xi == 0:
@@ -660,61 +686,42 @@ def theorem6(
     a1, a2 = xi.numerator, xi.denominator
     b0 = arith.common_denominator((params.gamma(),) + params.beta)
     H = _height(params)
-    est = g_class_phi(params, digits)
-    with mpmath.workdps(digits):
-        eps = mpmath.mpf(epsilon.numerator) / epsilon.denominator
-        base = 8 * b0 * mpmath.mpf(H.numerator) / H.denominator * mpmath.e ** (
-            arith.chi(b0, digits) + 3
-        )
-        expo = 1 + eps + (2 - (m - 1) * eps) / (eps**m * factorial(m - 1))
-        C0 = base ** (eps * (1 - mpmath.log(eps))) * est.Phi**expo
-        num = (1 + eps) * mpmath.log(a2) + mpmath.log(C0)
-        den = (
-            (1 - (m + 2) * eps) * mpmath.log(a2)
-            - mpmath.log(C0)
-            - (2 - (m + 1) * eps) * mpmath.log(abs(a1))
-        )
-        eta0 = num / den if den != 0 else None
-
-    # outward-rounded decision, in the private interval context
-    global _IV
-    if _IV is None:
-        _IV = mpmath.ctx_iv.MPIntervalContext()
-    _IV.dps = digits
-    ivH = _IV.mpf(H.numerator) / H.denominator
-    iv_chi = _IV.mpf(0)
+    iv = _interval_context(digits)
+    est, ivPhi = _phi_enclosure(params, digits)
+    ivH = iv.mpf(H.numerator) / H.denominator
+    iv_chi = iv.mpf(0)
     for p in arith.prime_factors(b0):
-        iv_chi += _IV.log(p) / (p - 1)
-    iv_rho = _IV.mpf(0)
-    for bj in est.b_js:
-        r = arith.rho_exact(bj)
-        iv_rho += _IV.mpf(r.numerator) / r.denominator
-    ivPhi = _IV.exp(iv_rho) * est.q1 / est.b
-    iv_eps = _IV.mpf(epsilon.numerator) / epsilon.denominator
-    iv_base = 8 * b0 * ivH * _IV.exp(iv_chi + 3)
+        iv_chi += iv.log(p) / (p - 1)
+    iv_eps = iv.mpf(epsilon.numerator) / epsilon.denominator
+    iv_base = 8 * b0 * ivH * iv.exp(iv_chi + 3)
     iv_expo = 1 + iv_eps + (2 - (m - 1) * iv_eps) / (
         iv_eps**m * factorial(m - 1)
     )
-    ivC0 = _IV.exp(
-        _IV.log(iv_base) * iv_eps * (1 - _IV.log(iv_eps))
-    ) * _IV.exp(_IV.log(ivPhi) * iv_expo)
-    lhs = _IV.exp(_IV.log(_IV.mpf(a2)) * (1 - (m + 2) * iv_eps))
-    rhs = ivC0 * _IV.exp(
-        _IV.log(_IV.mpf(abs(a1))) * (2 - (m + 1) * iv_eps)
-    )
+    ln_base = iv.log(iv_base) * iv_eps * (1 - iv.log(iv_eps))
+    ln_phi = iv.log(ivPhi) * iv_expo
+    ivC0 = iv.exp(ln_base) * iv.exp(ln_phi)
+    ln_a2 = iv.log(iv.mpf(a2))
+    ln_a1 = iv.log(iv.mpf(abs(a1)))
+    # outward-rounded decision
+    lhs = iv.exp(ln_a2 * (1 - (m + 2) * iv_eps))
+    rhs = ivC0 * iv.exp(ln_a1 * (2 - (m + 1) * iv_eps))
     if lhs.a > rhs.b:
         irrational, decisive = True, True
     elif lhs.b < rhs.a:
         irrational, decisive = False, True
     else:
         irrational, decisive = False, False
+    ln_c0 = ln_base + ln_phi
+    num = (1 + iv_eps) * ln_a2 + ln_c0
+    den = (1 - (m + 2) * iv_eps) * ln_a2 - ln_c0 - (2 - (m + 1) * iv_eps) * ln_a1
+    eta0 = None if 0 in den else _mid(num / den)
     measure = eta0 if irrational else None
     return Theorem6Report(
         conditions=conditions,
         b0=b0,
         H=H,
         Phi=est.Phi,
-        C0=C0,
+        C0=_mid(ivC0),
         eta0=eta0,
         xi=xi,
         epsilon=epsilon,

@@ -667,9 +667,7 @@ def conjugation_check(A: MatQ, T: MatQ, n: int) -> bool:
     return lhs == rhs
 
 
-def certify_matrix(
-    A: MatQ, k: int, digits: int = arith.DEFAULT_DIGITS
-) -> CancellationCertificate:
+def certify_matrix(A: MatQ, k: int) -> CancellationCertificate:
     """psi_k = exact lcm of entry denominators of Delta_n(A), n <= k, from
     one falling.delta_steps pass over q A (q = entry denominator of A);
     certified against t1 t2 b^k d_k^{r-1} prod_{p|b} p^{tau_p(k)}."""
@@ -683,8 +681,8 @@ def certify_matrix(
     for bound in bound_steps(data.b, k, d_exp=data.r_max - 1):
         pass
     bound *= data.t1 * data.t2
-    const = growth_constant(1, data.b, data.r_max - 1, digits)
-    return make_certificate(k, psi, bound, const, digits)
+    const = growth_constant(1, data.b, data.r_max - 1)
+    return make_certificate(k, psi, bound, const)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact polynomial, rational-function, multivariate and power-series
+"""Exact polynomial (univariate and multivariate) and power-series
 arithmetic over Q.
 
 UniPoly is dense (degrees stay in the hundreds), MultiPoly is a sparse
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .errors import DivideByZeroSeries
 
@@ -151,11 +151,6 @@ class UniPoly:
             out = out * x + c
         return out
 
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
-
     def taylor_shift(self, a) -> "UniPoly":
         """Coefficients of p(x + a), i.e. the Taylor expansion of p at a."""
         a = _as_frac(a)
@@ -166,40 +161,6 @@ class UniPoly:
             for i in range(n - 2, j - 1, -1):
                 cs[i] += a * cs[i + 1]
         return UniPoly(cs)
-
-    # -- gcd ---------------------------------------------------------------
-
-    def content_and_primitive(self) -> tuple[Fraction, "UniPoly"]:
-        """Rational content c > 0 and primitive integer part p with self = c*p."""
-        if self.is_zero():
-            return _ZERO, self
-        den = lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        return Fraction(g, den), UniPoly([v // g for v in ints])
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd via the primitive subresultant remainder sequence."""
-        if self.is_zero():
-            return other.monic()
-        if other.is_zero():
-            return self.monic()
-        _, a = self.content_and_primitive()
-        _, b = other.content_and_primitive()
-        if a.degree < b.degree:
-            a, b = b, a
-        while not b.is_zero():
-            # pseudo-remainder keeps everything integral
-            d = a.degree - b.degree
-            r = a.scale(b.leading() ** (d + 1))
-            _, r = r.divmod(b)
-            if r.is_zero():
-                return b.monic()
-            _, r = r.content_and_primitive()
-            a, b = b, r
-        return a.monic()
 
 
 def differentiate_scaled(f: UniPoly, n: int) -> UniPoly:
@@ -218,71 +179,6 @@ def integer_content_denominator(f: UniPoly) -> int:
     for c in f.coeffs:
         out = lcm(out, c.denominator)
     return out
-
-
-class RatFun:
-    """Rational function num/den over Q with den monic and gcd(num, den) = 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UniPoly, den: UniPoly = None):
-        if den is None:
-            den = UniPoly.one()
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = UniPoly(), UniPoly.one()
-            return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-        lead = den.leading()
-        self.num = num.scale(1 / lead)
-        self.den = den.scale(1 / lead)
-
-    @staticmethod
-    def constant(c) -> "RatFun":
-        return RatFun(UniPoly.constant(c))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatFun)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RatFun({self.num!r}, {self.den!r})"
-
-    def __add__(self, other: "RatFun") -> "RatFun":
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFun") -> "RatFun":
-        return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den)
-
-    def __mul__(self, other: "RatFun") -> "RatFun":
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFun") -> "RatFun":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def derivative(self) -> "RatFun":
-        return RatFun(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
 
 
 class MultiPoly:

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factcancel import arith
-from factcancel.certificate import bound_steps, growth_constant, make_certificate
+from factcancel.certificate import (
+    CancellationCertificate,
+    bound_steps,
+    growth_constant,
+    make_certificate,
+)
 
 # the certificate reals are computed with decimal; mpmath, under workdps, is
 # the oracle they must reproduce
@@ -18,44 +23,22 @@ _CONSTANT = dict(
 _LOG_RATIO = dict(psi=st.integers(1, 2**1000), k=st.integers(1, 10**4))
 
 
-def _oracle_constant(scale, b, shift, digits):
-    with mpmath.workdps(digits):
-        return float(scale * b * mpmath.e ** (arith.chi(b, digits) + shift))
-
-
-def _oracle_log_ratio(psi, k, digits):
-    with mpmath.workdps(digits):
-        return float(mpmath.log(psi) / k)
-
-
 @settings(max_examples=200, deadline=None)
-@given(digits=st.sampled_from([30, 50, 80]), **_CONSTANT, **_LOG_RATIO)
-def test_certificate_reals_equal_mpmath_oracle(digits, scale, b, shift, psi, k):
-    assert growth_constant(scale, b, shift, digits) == _oracle_constant(scale, b, shift, digits)
-    cert = make_certificate(k, psi, None, None, digits)
-    assert cert.log_ratio_per_k == _oracle_log_ratio(psi, k, digits)
+@given(**_CONSTANT, **_LOG_RATIO)
+def test_certificate_reals_equal_mpmath_oracle(scale, b, shift, psi, k):
+    # both reals are computed at 50 digits, so both round to the same double
+    with mpmath.workdps(50):
+        want_constant = float(scale * b * mpmath.e ** (arith.chi(b) + shift))
+        want_log_ratio = float(mpmath.log(psi) / k)
+    assert growth_constant(scale, b, shift) == want_constant
+    assert make_certificate(k, psi, None, None).log_ratio_per_k == want_log_ratio
 
 
-@settings(max_examples=200, deadline=None)
-@given(digits=st.integers(5, 29), **_CONSTANT, **_LOG_RATIO)
-def test_low_precision_reals_agree_with_mpmath_oracle(digits, scale, b, shift, psi, k):
-    # Below 30 digits the two roundings to a double may differ, so agreement
-    # is relative: one unit in the last decimal digit for ln(psi)/k (one ln
-    # and one division) and ten for the constant (up to 2 omega(b) + 3
-    # roundings, omega(b) <= 7 here), plus the final rounding to a double.
-    ulp = 2.0**-52
-    want = _oracle_constant(scale, b, shift, digits)
-    got = growth_constant(scale, b, shift, digits)
-    assert abs(got - want) <= (10.0 ** (2 - digits) + ulp) * want
-    want = _oracle_log_ratio(psi, k, digits)
-    got = make_certificate(k, psi, None, None, digits).log_ratio_per_k
-    assert abs(got - want) <= (10.0 ** (1 - digits) + ulp) * want
-
-
-def test_low_precision_reports_the_requested_digits():
-    cert = make_certificate(1, 2, 2, growth_constant(1, 2, 0, 5), 5)
-    assert cert.log_ratio_per_k == 0.69315
-    assert cert.asymptotic_constant == 4.0
+def test_json_ignores_a_stray_digits_key():
+    cert = make_certificate(30, 10**9, 10**12, growth_constant(1, 10, 0))
+    d = cert.to_dict()
+    assert "digits" not in d
+    assert CancellationCertificate.from_dict({**d, "digits": 80}) == cert
 
 
 @settings(max_examples=150, deadline=None)

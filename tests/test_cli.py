@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factcancel
-from factcancel import catalog
+from factcancel import catalog, cli
 from factcancel.certificate import CancellationCertificate
 from factcancel.cli import main
 
@@ -113,12 +113,17 @@ def test_certify_scalar_malformed(capsys):
     assert code == 2
 
 
+#: the one subcommand with --precision
+_THEOREM6 = ["hyper", "theorem6", "--alpha", "1/3", "--beta", "1/2", "--xi", "1/100000",
+             "--epsilon", "1/10"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["certify", "scalar", "--lambda", "1/0", "--k", "50"],
-        ["certify", "scalar", "--lambda", "1/2", "--k", "10", "--precision", "0"],
-        ["certify", "scalar", "--lambda", "1/2", "--k", "10", "--precision=-3"],
+        [*_THEOREM6, "--precision", "0"],
+        [*_THEOREM6, "--precision=-3"],
         ["hyper", "series", "--alpha", "1/3", "--beta", "1/2", "--N=-2"],
     ],
     ids=["zero-denominator", "precision-zero", "precision-negative", "negative-N"],
@@ -129,6 +134,21 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert code == 2
     assert err.strip()
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "scalar", "--lambda", "1/2", "--k", "10"],
+        ["hyper", "lemma11", "--alpha", "1/3", "--beta", "1/2", "--k", "5"],
+        ["verify", "--suite", "identities"],
+    ],
+    ids=["certify", "lemma11", "verify"],
+)
+def test_precision_exists_only_on_theorem6(capsys, argv):
+    # certificate reals are always computed at 50 digits
+    assert main([*argv, "--precision", "80"]) == 2
+    assert "unrecognized arguments: --precision" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -184,7 +204,9 @@ class _ClosedStdout(io.StringIO):
     "argv, want",
     [
         (["certify", "scalar", "--lambda", "1/3", "--k", "40"], 0),
-        (["verify", "--suite", "identities", "--self-test-fail", "--json"], 1),
+        # both Lemma 11 certificates fail here
+        (["hyper", "lemma11", "--alpha", "1/3", "--alpha", "5/12", "--beta", "1/2",
+          "--beta", "1/4", "--k", "12", "--json"], 1),
     ],
     ids=["certificate", "failed-verify"],
 )
@@ -390,17 +412,17 @@ def test_hyper_conditions_failing(capsys):
 
 
 def test_hyper_theorem6(capsys):
-    code, out = run(
-        capsys,
-        "hyper", "theorem6",
-        "--alpha", "1/3", "--beta", "1/2",
-        "--xi", "1/100000", "--epsilon", "1/10",
-        "--json",
-    )
+    code, out = run(capsys, *_THEOREM6, "--json")
     assert code == 0
     data = json.loads(out)
     assert data["b0"] == 6
     assert data["H"] == "1"
+    assert data["digits"] == 50
+    code, out = run(capsys, *_THEOREM6, "--precision", "80", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["digits"] == 80
+    assert len(data["Phi"].replace(".", "")) == 80
 
 
 def test_hyper_theorem6_conditions_failed_is_verdict(capsys):
@@ -426,10 +448,12 @@ def test_verify_identities(capsys):
     assert json.loads(out)["first_failure"] is None
 
 
-def test_verify_self_test_failure(capsys):
-    code, out = run(
-        capsys, "verify", "--suite", "identities", "--seed", "42", "--self-test-fail", "--json"
+def test_verify_self_test_failure(monkeypatch, capsys):
+    identity_checks = cli._identity_checks
+    monkeypatch.setattr(
+        cli, "_identity_checks", lambda seed: identity_checks(seed) + [("self-test", lambda: False)]
     )
+    code, out = run(capsys, "verify", "--suite", "identities", "--seed", "42", "--json")
     assert code == 1
     assert json.loads(out)["first_failure"] == "self-test"
 
@@ -439,20 +463,6 @@ def test_json_roundtrip_certificate(capsys):
     code, out = run(capsys, "certify", "scalar", "--lambda=-7/10", "--k", "30", "--json")
     cert = CancellationCertificate.from_json(out)
     assert CancellationCertificate.from_json(cert.to_json()) == cert
-
-
-def test_json_roundtrip_keeps_precision(capsys):
-    code, out = run(
-        capsys, "certify", "scalar", "--lambda=-7/10", "--k", "30", "--precision", "80", "--json"
-    )
-    assert code == 0
-    cert = CancellationCertificate.from_json(out)
-    assert cert.digits == 80
-    assert CancellationCertificate.from_json(cert.to_json()) == cert
-    # the default precision keeps the JSON shape without a "digits" key
-    code, out = run(capsys, "certify", "scalar", "--lambda=-7/10", "--k", "30", "--json")
-    assert "digits" not in json.loads(out)
-    assert CancellationCertificate.from_json(out).digits == 50
 
 
 # argv fuzz: every subcommand with each of its flags missing, given once or
@@ -479,9 +489,9 @@ _FUZZ_VALUES = {
     "suite": st.sampled_from(["identities", "divisibility", "all", "none"]),
 }
 _FUZZ_COMMANDS = {
-    ("certify", "scalar"): {"--lambda": "rat", "--k": "int", "--r": "int", "--precision": "int"},
-    ("certify", "matrix"): {"--file": "matrix", "--k": "int", "--precision": "int"},
-    ("certify", "fuchsian"): {"--file": "system", "--k": "int", "--precision": "int"},
+    ("certify", "scalar"): {"--lambda": "rat", "--k": "int", "--r": "int"},
+    ("certify", "matrix"): {"--file": "matrix", "--k": "int"},
+    ("certify", "fuchsian"): {"--file": "system", "--k": "int"},
     ("certify", "constcoef"): {"--file": "matrix", "--k": "int", "--degree-cap": "int"},
     ("hyper", "series"): {"--alpha": "rat", "--beta": "rat", "--file": "params", "--N": "int"},
     ("hyper", "system"): {"--alpha": "rat", "--beta": "rat", "--file": "params", "--N": "int"},

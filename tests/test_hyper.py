@@ -1,7 +1,8 @@
 import runpy
 import sys
 from fractions import Fraction
-from math import factorial, lcm
+import random
+from math import factorial, lcm, prod
 from pathlib import Path
 
 import mpmath
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factcancel import catalog, hyper
+from factcancel import arith, catalog, hyper
 from factcancel.errors import (
     ConditionsFailed,
     EpsilonOutOfRange,
@@ -289,6 +290,61 @@ def test_theorem6_leaves_global_interval_context_alone(monkeypatch, digits):
         rep = hyper.theorem6(params, F(1, 10**12), F(1, 10 * params.m + 20), digits=digits)
         assert rep.decisive
     assert writes == []
+
+
+def test_theorem6_evaluates_each_real_once(monkeypatch):
+    calls = {"rho_exact": 0, "prime_factors": 0}
+    for name in calls:
+        fn = getattr(arith, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(arith, name, counted)
+    hyper.theorem6(catalog.HYPER_M2, F(1, 10**12), F(1, 10))
+    # one rho(b_j) per lower parameter, and b0 factored once
+    assert calls == {"rho_exact": 2, "prime_factors": 1}
+
+
+def _theorem6_oracle(params, xi, eps):
+    """Phi, C0 and eta0 evaluated directly in mpmath at 120 digits."""
+    m = params.m
+    with mpmath.workdps(120):
+        q1 = prod(a.denominator for a in params.alpha)
+        b = lcm(q1, prod(be.denominator for be in params.beta))
+        rho = mpmath.fsum(
+            mpmath.mpf(r.numerator) / r.denominator
+            for r in (arith.rho_exact(be.denominator) for be in params.beta)
+        )
+        Phi = mpmath.e**rho * q1 / b
+        b0 = arith.common_denominator((params.gamma(),) + params.beta)
+        H = hyper._height(params)
+        e = mpmath.mpf(eps.numerator) / eps.denominator
+        base = 8 * b0 * mpmath.mpf(H.numerator) / H.denominator * mpmath.e ** (
+            arith.chi(b0, 120) + 3
+        )
+        expo = 1 + e + (2 - (m - 1) * e) / (e**m * factorial(m - 1))
+        C0 = base ** (e * (1 - mpmath.log(e))) * Phi**expo
+        ln_a2, ln_a1 = mpmath.log(xi.denominator), mpmath.log(abs(xi.numerator))
+        num = (1 + e) * ln_a2 + mpmath.log(C0)
+        den = (1 - (m + 2) * e) * ln_a2 - mpmath.log(C0) - (2 - (m + 1) * e) * ln_a1
+        return Phi, C0, num / den
+
+
+@pytest.mark.parametrize("digits", [20, 50, 80])
+def test_theorem6_reports_accurate_midpoints(digits):
+    rng = random.Random(digits)
+    for params in catalog.HYPER_CATALOG:
+        for _ in range(8):
+            xi = F(rng.choice((1, 2, 3, 5, 7)) * rng.choice((1, -1)), int(10 ** rng.uniform(2, 60)))
+            eps = rng.choice((F(1, 20), F(1, 10), F(1, 6)))
+            rep = hyper.theorem6(params, xi, eps, digits=digits)
+            assert all(isinstance(x, mpmath.mpf) for x in (rep.Phi, rep.C0, rep.eta0))
+            with mpmath.workdps(120):
+                tol = mpmath.mpf(10) ** (6 - digits)
+                for got, want in zip((rep.Phi, rep.C0, rep.eta0), _theorem6_oracle(params, xi, eps)):
+                    assert abs(got - want) <= tol * abs(want)
 
 
 def test_theorem6_report_json():

