@@ -11,12 +11,13 @@ rational spectrum and squarefree minimal polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, lcm
 
 from . import arith, falling
 from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
 from .errors import NotPrime, RepeatedRootMinPoly
-from .matfun import MatQ, _integer_form, matrix_delta, spectral
+from .matfun import MatQ, _compositions, _integer_form, matrix_delta, spectral
 from .poly import MultiPoly
 
 
@@ -134,16 +135,6 @@ def _multi_binom(mu, kappa) -> int:
     return out
 
 
-def _sub_indices(mu):
-    """All kappa with 0 <= kappa <= mu componentwise."""
-    if not mu:
-        yield ()
-        return
-    for head in range(mu[0] + 1):
-        for tail in _sub_indices(mu[1:]):
-            yield (head,) + tail
-
-
 def compose(outer: "LinearDiffOp", inner: "LinearDiffOp") -> "LinearDiffOp":
     """True operator composition outer o inner, normal-ordered by the
     Leibniz rule: c d^mu (d p(y)) = c sum_{kappa<=mu} C(mu,kappa)
@@ -153,7 +144,7 @@ def compose(outer: "LinearDiffOp", inner: "LinearDiffOp") -> "LinearDiffOp":
     out = LinearDiffOp.zero(outer.m)
     for mu, c in outer.terms.items():
         for nu, d in inner.terms.items():
-            for kappa in _sub_indices(mu):
+            for kappa in product(*(range(x + 1) for x in mu)):
                 dk = d.partial_multi(kappa)
                 if dk.is_zero():
                     continue
@@ -243,23 +234,11 @@ def monomial_integrality_check(B: MatQ, s: int, degree_cap: int) -> bool:
     if s == 0:
         return True
     op = formal_product([bracket_op(B)] * s).scale(Fraction(1, factorial(s)))
-    for expo in _monomials_upto(m, degree_cap):
-        if not op.apply(MultiPoly.monomial(m, expo)).is_integral():
-            return False
+    for d in range(degree_cap + 1):
+        for expo in _compositions(d, m):
+            if not op.apply(MultiPoly.monomial(m, expo)).is_integral():
+                return False
     return True
-
-
-def _monomials_upto(m: int, degree_cap: int):
-    def rec(vars_left, budget):
-        if vars_left == 1:
-            for d in range(budget + 1):
-                yield (d,)
-            return
-        for d in range(budget + 1):
-            for rest in rec(vars_left - 1, budget - d):
-                yield (d,) + rest
-
-    yield from rec(m, degree_cap)
 
 
 def lemma19_inequality(s, p: int) -> bool:
@@ -276,7 +255,7 @@ def _induced_matrices(qA: list[list[int]], degree_cap: int):
     degree-d monomials: column y^e holds sum_{l,j} q A_{lj} e_l y^{e-u_l+u_j}."""
     m = len(qA)
     for d in range(1, degree_cap + 1):
-        basis = [e for e in _monomials_upto(m, d) if sum(e) == d]
+        basis = list(_compositions(d, m))
         index = {e: i for i, e in enumerate(basis)}
         S = [[0] * len(basis) for _ in basis]
         for col, e in enumerate(basis):

@@ -4,9 +4,14 @@
 polynomial Delta_n(lambda) = <lambda>_n / n!, its scaled derivatives
 Delta_n^{(j)}(lambda)/j!, and exact per-k certificates: the measured common
 denominator psi_k of all these values for n <= k divides
-b^k d_k^{r-1} prod_{p|b} p^{tau_p(k)} with b = den(lambda).  delta_steps,
-the fraction-free Delta_n table of an integer matrix, is the one recurrence
-behind the scalar, matrix and constant-coefficient psi_k measurements.
+b^k d_k^{r-1} prod_{p|b} p^{tau_p(k)} with b = den(lambda).
+
+pencil_steps is the one fraction-free recurrence behind every psi_k: it
+carries N_n / D_n = (N_0 / D_0) prod_{i<n} (L0 - i L1) / (n! tau^n) for an
+integer pencil.  delta_steps, the Delta_n table of an integer matrix, is its
+constant case (L0, L1, tau) = (A, q E, q), used by the scalar, matrix and
+constant-coefficient certificates; fuchs._scaled_qn builds the polynomial
+pencil of T^n Q^[n] / n!.
 """
 
 from __future__ import annotations
@@ -46,37 +51,51 @@ def delta_poly_coeffs(n: int) -> UniPoly:
     return p
 
 
-def delta_steps(
-    A: list[list[int]], q: int, k: int
+def pencil_steps(
+    cols: list, tau: int, k: int, N: list[list[int]], D: int = 1, grow: int = 0
 ) -> Iterator[tuple[list[list[int]], int]]:
-    """Yield (N_n, D_n) with Delta_n(A/q) = N_n / D_n for n = 0, 1, ..., k.
+    """Yield (N_n, D_n) for n = 0, 1, ..., k with
+    N_n / D_n = (N_0 / D_0) prod_{i<n} (L0 - i L1) / (n! tau^n)
+    for the integer pencil L0 - s L1, integer row vectors N_0 and tau >= 1.
 
-    A is a square integer matrix (list of rows) and q >= 1.  The step
-    Delta_n = Delta_{n-1} (A/q - (n-1)E) / n keeps one common denominator:
-    N <- N (A - (n-1)q E), D <- D n q, then both are divided by
-    g = gcd(D, content(N)) (the common-denominator idea of Bareiss'
-    fraction-free elimination).  After that division D_n is exactly the lcm
-    of the entry denominators of Delta_n(A/q).  The product visits only the
-    nonzero entries of A, so a step costs O(m nnz(A)) <= O(m^3) integer
-    operations for an m x m matrix.
+    cols[j] lists the nonzero triples (i, L0[i][j], L1[i][j]) of column j.
+    The step N <- N (L0 - (n-1) L1), D <- D n tau is followed by division of
+    both by g = gcd(D, content(N)) (the common-denominator idea of Bareiss'
+    fraction-free elimination), so D_n is exactly the lcm of the entry
+    denominators of N_n / D_n.  Rows are kept len(cols) long, and step n
+    computes only their first len(N_0[0]) + n grow slots: the caller
+    promises that the other slots stay zero.  A step costs one product per
+    triple of a computed column and per row.
     """
-    m = len(A)
-    cols = [[(i, A[i][j]) for i in range(m) if A[i][j]] for j in range(m)]
-    N = [[int(i == j) for j in range(m)] for i in range(m)]
-    D = 1
+    live = len(N[0])
+    N = [row + [0] * (len(cols) - live) for row in N]
     yield N, D
     for n in range(1, k + 1):
-        s = (n - 1) * q
-        N = [
-            [sum(row[i] * a for i, a in col) - s * row[j] for j, col in enumerate(cols)]
-            for row in N
-        ]
-        D *= n * q
+        s = n - 1
+        live += grow
+        computed, tail = cols[:live], [0] * (len(cols) - live)
+        N = [[sum(row[i] * (a - s * b) for i, a, b in col) for col in computed] + tail for row in N]
+        D *= n * tau
         g = gcd(D, *chain.from_iterable(N))
         if g > 1:
             N = [[x // g for x in row] for row in N]
             D //= g
         yield N, D
+
+
+def delta_steps(
+    A: list[list[int]], q: int, k: int
+) -> Iterator[tuple[list[list[int]], int]]:
+    """Yield (N_n, D_n) with Delta_n(A/q) = N_n / D_n for n = 0, 1, ..., k:
+    pencil_steps on (L0, L1, tau) = (A, q E, q), from Delta_0 = E.  A is a
+    square integer matrix (list of rows) and q >= 1; a step costs
+    O(m (nnz(A) + m)) integer operations for an m x m matrix."""
+    m = len(A)
+    cols = [
+        [(i, A[i][j], q * (i == j)) for i in range(m) if A[i][j] or i == j]
+        for j in range(m)
+    ]
+    return pencil_steps(cols, q, k, [[int(i == j) for j in range(m)] for i in range(m)])
 
 
 def _jordan_steps(lam: Fraction, k: int, r: int):

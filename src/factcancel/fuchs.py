@@ -1,9 +1,11 @@
 """Fuchsian systems y' = Q(z) y with Q(z) = sum A_i/(z - gamma_i).
 
-Contains the cleared-denominator recurrence for the higher-derivative
-matrices Q^[n], the bracket-sum assembly of the same matrices (the central
-cross-validation oracle), the single-pole and commuting multi-pole operator
-identities, and the per-k denominator certificate for the system.
+Contains the higher-derivative matrices T^n Q^[n] / n! as one integer
+pencil run by falling.pencil_steps (the single-pole system T = z, Q = A/z
+gives the matrix Delta_n(A)), the bracket-sum assembly of the same matrices
+(the central cross-validation oracle), the single-pole and commuting
+multi-pole operator identities, and the per-k denominator certificate for
+the system.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .matfun import (
     _primitive_chain,
     bracket_table,
     commuting_check,
-    matrix_delta,
+    matrix_delta_table,
     spectral,
 )
 from .poly import UniPoly, differentiate_scaled, integer_content_denominator
@@ -182,8 +184,8 @@ def _tq_poly(system: FuchsianSystem) -> PolyMat:
 
 
 def _content(N) -> int:
-    """gcd of every coefficient of an integer polynomial matrix."""
-    return gcd(*chain.from_iterable(chain.from_iterable(N)))
+    """gcd of every coefficient of a flat _scaled_qn numerator."""
+    return gcd(*chain.from_iterable(N))
 
 
 def _scaled_qn(
@@ -193,56 +195,50 @@ def _scaled_qn(
     R_n = T^n (d/dz + Q)^n R_0 / n! acts on rows and R_0 = start (default E,
     which makes R_n = T^n Q^[n] / n!).
 
-    Fraction-free form of R_n = (T R_{n-1}' - (n-1) T' R_{n-1} + R_{n-1} TQ)/n:
-    with T = t/tau and TQ = P/tau over the integers, the step is
-    N <- t N' - (n-1) t' N + N P, D <- D n tau, then both are divided by
-    gcd(D, content(N)), so D_n is exactly the lcm of the coefficient
-    denominators of R_n.  N_n is a list of rows of integer coefficient
-    lists (lowest degree first), all of one length.
+    R_n = (T R_{n-1}' - (n-1) T' R_{n-1} + R_{n-1} TQ)/n is the pencil step
+    of falling.pencil_steps: with T = t/tau and TQ = P/tau over the integers,
+    L0: v -> t v' + v P and L1: v -> t' v on polynomial row vectors v, so
+    D_n is exactly the lcm of the coefficient denominators of R_n.  Row r of
+    N_n is flat: N_n[r][d m + j] is the z^d coefficient of entry (r, j).
+    The degree grows by (number of poles - 1) per step, and the pencil gets
+    columns up to the degree reached at n_max.
     """
     T = system.t_poly()
     TQ = _tq_poly(system)
     tau = lcm(integer_content_denominator(T), TQ.coeff_denominator())
     t = [int(c * tau) for c in T.coeffs]
     P = [[[int(c * tau) for c in e.coeffs] for e in row] for row in TQ.rows]
-    R = PolyMat.identity(system.size) if start is None else start
+    m = system.size
+    R = PolyMat.identity(m) if start is None else start
     D = R.coeff_denominator()
     width = max([1] + [len(e.coeffs) for row in R.rows for e in row])
-    N = [[[int(e[d] * D) for d in range(width)] for e in row] for row in R.rows]
-    yield N, D
-    for n in range(1, n_max + 1):
-        width += len(t) - 2
-        new = []
-        for row in N:
-            new.append([])
-            for j in range(len(row)):
-                acc = [0] * width
-                for l, e in enumerate(row):
-                    for i, x in enumerate(e):
-                        if not x:
-                            continue
-                        # t N' - (n-1) t' N takes x z^i to sum_a x t_a (i - (n-1)a) z^(i-1+a)
-                        if l == j:
-                            for a, c in enumerate(t):
-                                w = c * (i - (n - 1) * a)
-                                if w:
-                                    acc[i - 1 + a] += x * w
-                        for a, c in enumerate(P[l][j]):
-                            if c:
-                                acc[i + a] += x * c
-                new[-1].append(acc)
-        N = new
-        D *= n * tau
-        g = gcd(D, _content(N))
-        if g > 1:
-            N = [[[x // g for x in e] for e in row] for row in N]
-            D //= g
-        yield N, D
+    N = [[int(e[d] * D) for d in range(width) for e in row] for row in R.rows]
+    grow = len(t) - 2
+    top = width + n_max * grow
+    cols = []
+    for e in range(top):
+        for j in range(m):
+            # column e m + j: t v' - s t' v takes z^d to (d - s a) t_a z^(d-1+a)
+            col = {}
+            for a, c in enumerate(t):
+                d = e + 1 - a
+                if 0 <= d < top:
+                    L = col.setdefault(d * m + j, [0, 0])
+                    L[0] += d * c
+                    L[1] += a * c
+            for l in range(m):
+                for a, c in enumerate(P[l][j][: e + 1]):
+                    col.setdefault((e - a) * m + l, [0, 0])[0] += c
+            cols.append([(i, l0, l1) for i, (l0, l1) in col.items() if l0 or l1])
+    return falling.pencil_steps(cols, tau, n_max, N, D, m * grow)
 
 
 def _polymat(N: list, D: int, c: int = 1) -> PolyMat:
-    """The PolyMat c N / D."""
-    return PolyMat([[UniPoly([Fraction(c * x, D) for x in e]) for e in row] for row in N])
+    """The PolyMat c N / D of a flat _scaled_qn numerator."""
+    m = len(N)
+    return PolyMat(
+        [[UniPoly([Fraction(c * x, D) for x in row[j::m]]) for j in range(m)] for row in N]
+    )
 
 
 def qn_recurrence(system: FuchsianSystem, n: int) -> PolyMat:
@@ -331,9 +327,7 @@ def operator_identity_24(system: FuchsianSystem, n: int) -> bool:
     s = system.npoles
     size = system.size
     tmats = [A.transpose() for A in system.residues]
-    deltas = [
-        [matrix_delta(M, ni) for ni in range(n + 1)] for M in tmats
-    ]
+    deltas = [matrix_delta_table(M, n) for M in tmats]
     for d in range(2 * n + 1):
         # lhs: T^n D^n (z^d E) / n! is the transpose of the row-acting run
         start = PolyMat.identity(size).scale_poly(UniPoly.monomial(1, d))

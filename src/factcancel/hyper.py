@@ -669,7 +669,8 @@ def theorem6(
     Phi, chi(b0), C0 and eta0 = num/den, num = (1+eps) ln a2 + ln C0,
     den = (1-(m+2)eps) ln a2 - ln C0 - (2-(m+1)eps) ln|a1|, are each
     enclosed once, at `digits` decimal digits; the report carries the
-    midpoints of those enclosures, and eta0 is None when den contains 0.
+    midpoints of those enclosures.  den is the log-margin of the verdict,
+    and eta0 is None unless den is provably positive.
     """
     xi = _fr(xi)
     epsilon = _fr(epsilon)
@@ -714,7 +715,8 @@ def theorem6(
     ln_c0 = ln_base + ln_phi
     num = (1 + iv_eps) * ln_a2 + ln_c0
     den = (1 - (m + 2) * iv_eps) * ln_a2 - ln_c0 - (2 - (m + 1) * iv_eps) * ln_a1
-    eta0 = None if 0 in den else _mid(num / den)
+    # den is the verdict's log-margin: eta0 is an exponent only where den > 0
+    eta0 = _mid(num / den) if den.a > 0 else None
     measure = eta0 if irrational else None
     return Theorem6Report(
         conditions=conditions,

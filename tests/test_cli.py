@@ -425,6 +425,16 @@ def test_hyper_theorem6(capsys):
     assert len(data["Phi"].replace(".", "")) == 80
 
 
+def test_hyper_theorem6_eta0_only_where_the_criterion_holds(capsys):
+    # xi = 1/100000 fails the criterion: den < 0 and eta0 would be negative
+    code, out = run(capsys, *_THEOREM6, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["irrational"] is False
+    assert data["eta0"] is None
+    assert data["measure_exponent"] is None
+
+
 def test_hyper_theorem6_conditions_failed_is_verdict(capsys):
     code, out = run(
         capsys,

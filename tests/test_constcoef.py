@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from factcancel import catalog, constcoef as cc
 from factcancel.errors import NotPrime, RepeatedRootMinPoly
-from factcancel.matfun import MatQ, matrix_delta
+from factcancel.matfun import MatQ, _compositions, matrix_delta
 from factcancel.poly import MultiPoly
 
 F = Fraction
@@ -197,10 +197,10 @@ def test_certify_psi_matches_operator_oracle(i):
     dens = {}  # (n, degree) -> lcm of coefficient denominators
     for n in range(1, 6):
         op = cc.script_A_n(A, n).scale(F(1, factorial(n)))
-        for e in cc._monomials_upto(m, 3):
-            image = op.apply(MultiPoly.monomial(m, e))
-            key = (n, sum(e))
-            dens[key] = lcm(dens.get(key, 1), image.coeff_denominator())
+        for d in range(4):
+            for e in _compositions(d, m):
+                image = op.apply(MultiPoly.monomial(m, e))
+                dens[n, d] = lcm(dens.get((n, d), 1), image.coeff_denominator())
     for k in range(1, 6):
         for cap in range(1, 4):
             want = 1

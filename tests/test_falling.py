@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +41,32 @@ def test_delta_derivatives_match_shift_oracle(lam, n, r):
 @given(rats, st.integers(0, 12))
 def test_delta_derivatives_order_one_is_delta(lam, n):
     assert falling.delta_derivatives(lam, n, 1) == [falling.delta(lam, n)]
+
+
+@st.composite
+def _pencils(draw):
+    m = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-9, 9), min_size=m, max_size=m)
+    L0 = draw(st.lists(row, min_size=m, max_size=m))
+    L1 = draw(st.lists(row, min_size=m, max_size=m))
+    N0 = draw(st.lists(row, min_size=1, max_size=3))
+    return L0, L1, draw(st.integers(1, 12)), N0, draw(st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pencils(), st.integers(0, 10))
+def test_pencil_steps_matches_fraction_product(pencil, k):
+    # N_n/D_n = (N_0/D_0) prod_{i<n} (L0 - i L1) / (n! tau^n), in lowest terms
+    L0, L1, tau, N0, D0 = pencil
+    m = len(L0)
+    cols = [[(i, L0[i][j], L1[i][j]) for i in range(m) if L0[i][j] or L1[i][j]] for j in range(m)]
+    want = [[Fraction(x, D0) for x in row] for row in N0]
+    for n, (N, D) in enumerate(falling.pencil_steps(cols, tau, k, N0, D0)):
+        if n:
+            step = [[Fraction(L0[i][j] - (n - 1) * L1[i][j], n * tau) for j in range(m)] for i in range(m)]
+            want = [[sum(row[i] * step[i][j] for i in range(m)) for j in range(m)] for row in want]
+            assert gcd(D, *(x for row in N for x in row)) == 1
+        assert [[Fraction(x, D) for x in row] for row in N] == want
 
 
 def test_delta_poly_coeffs_evaluates():

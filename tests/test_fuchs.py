@@ -21,7 +21,7 @@ from factcancel.fuchs import (
     qn_via_brackets,
     simultaneous_eigenbasis,
 )
-from factcancel.matfun import MatQ, commuting_check
+from factcancel.matfun import MatQ, _integer_form, commuting_check
 from factcancel.poly import UniPoly
 
 F = Fraction
@@ -84,14 +84,40 @@ def _systems(draw):
 @settings(max_examples=40, deadline=None)
 @given(_systems(), st.integers(0, 6))
 def test_scaled_qn_matches_bracket_oracle(system, n):
-    # the integer generator against the bracket expansion divided by n!
+    # the integer generator against the bracket expansion divided by n!;
+    # row r of N holds the z^d coefficient of entry (r, j) at d m + j
     for N, D in fuchs._scaled_qn(system, n):
         pass
     R = qn_via_brackets(system, n).scale(F(1, factorial(n)))
-    assert [[UniPoly([F(x, D) for x in e]) for e in row] for row in N] == [
+    m = system.size
+    assert [[UniPoly([F(x, D) for x in row[j::m]]) for j in range(m)] for row in N] == [
         list(row) for row in R.rows
     ]
     assert D == R.coeff_denominator()
+
+
+def _one_pole_matches_delta_steps(A, n):
+    # T = z and Q = A/z make T^n Q^[n]/n! = Delta_n(A): the same pencil steps
+    q, qA = _integer_form(A)
+    system = FuchsianSystem(m=A.size, gammas=(F(0),), residues=(A,))
+    assert list(fuchs._scaled_qn(system, n)) == list(falling.delta_steps(qA, q, n))
+
+
+@pytest.mark.parametrize("i", range(len(catalog.matrix_catalog())))
+def test_one_pole_is_the_constant_case(i):
+    _one_pole_matches_delta_steps(catalog.matrix_catalog()[i], 15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.lists(st.lists(st.integers(-20, 20), min_size=m, max_size=m), min_size=m, max_size=m)
+    ),
+    st.integers(1, 12),
+    st.integers(0, 12),
+)
+def test_one_pole_is_the_constant_case_on_integer_matrices(B, q, n):
+    _one_pole_matches_delta_steps(MatQ(B).scale(F(1, q)), n)
 
 
 def test_qn_table_consistent():

@@ -308,7 +308,8 @@ def test_theorem6_evaluates_each_real_once(monkeypatch):
 
 
 def _theorem6_oracle(params, xi, eps):
-    """Phi, C0 and eta0 evaluated directly in mpmath at 120 digits."""
+    """Phi, C0 and eta0 evaluated directly in mpmath at 120 digits; eta0 is
+    None where its denominator, the log-margin of the verdict, is <= 0."""
     m = params.m
     with mpmath.workdps(120):
         q1 = prod(a.denominator for a in params.alpha)
@@ -329,7 +330,7 @@ def _theorem6_oracle(params, xi, eps):
         ln_a2, ln_a1 = mpmath.log(xi.denominator), mpmath.log(abs(xi.numerator))
         num = (1 + e) * ln_a2 + mpmath.log(C0)
         den = (1 - (m + 2) * e) * ln_a2 - mpmath.log(C0) - (2 - (m + 1) * e) * ln_a1
-        return Phi, C0, num / den
+        return Phi, C0, num / den if den > 0 else None
 
 
 @pytest.mark.parametrize("digits", [20, 50, 80])
@@ -340,10 +341,16 @@ def test_theorem6_reports_accurate_midpoints(digits):
             xi = F(rng.choice((1, 2, 3, 5, 7)) * rng.choice((1, -1)), int(10 ** rng.uniform(2, 60)))
             eps = rng.choice((F(1, 20), F(1, 10), F(1, 6)))
             rep = hyper.theorem6(params, xi, eps, digits=digits)
-            assert all(isinstance(x, mpmath.mpf) for x in (rep.Phi, rep.C0, rep.eta0))
+            Phi, C0, eta0 = _theorem6_oracle(params, xi, eps)
+            pairs = [(rep.Phi, Phi), (rep.C0, C0)]
+            if eta0 is None:
+                assert rep.eta0 is None
+            else:
+                pairs.append((rep.eta0, eta0))
+            assert all(isinstance(got, mpmath.mpf) for got, _ in pairs)
             with mpmath.workdps(120):
                 tol = mpmath.mpf(10) ** (6 - digits)
-                for got, want in zip((rep.Phi, rep.C0, rep.eta0), _theorem6_oracle(params, xi, eps)):
+                for got, want in pairs:
                     assert abs(got - want) <= tol * abs(want)
 
 
