@@ -222,15 +222,31 @@ def g_k_exponent(p: int, k: int) -> int:
     v_p(k!/(k0! k1! k2!)) = tau_p(k) - tau_p(k0) - tau_p(k1) - tau_p(k2).
 
     By Kummer's theorem that valuation is the sum of the base-p carries of
-    the addition k0 + k1 + k2, each carry c in {0, 1, 2}.  A digit DP takes
-    the most carries over all splits: at a digit d of k, carry c goes to c'
-    when the digit sum d + p c' - c lies in [0, 3(p-1)], and the final carry
-    must be 0.  Cost O(log_p k), with no table and no cache.
+    the addition k0 + k1 + k2, each carry c in {0, 1, 2}.
+
+    Closed form for p^2 > k: k = a p + d has two base-p digits, so only the
+    carry c out of the units is possible.  The units digits sum to d + p c
+    <= 3(p - 1), so c = 2 needs d <= p - 3 (c = 1 always fits), and the
+    tens digits sum to a - c >= 0; the exponent is min(a, 2 if d <= p - 3
+    else 1).
+
+    For p^2 <= k a digit DP takes the most carries over all splits: at a
+    digit d of k, carry c goes to c' when the digit sum d + p c' - c lies in
+    [0, 3(p-1)], and the final carry must be 0.  Cost O(log_p k), with no
+    table and no cache.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 0:
         raise ValueError("k must be >= 0")
+    return _g_k_exponent(p, k)
+
+
+def _g_k_exponent(p: int, k: int) -> int:
+    """g_k_exponent for a prime p and k >= 0, neither checked."""
+    if p * p > k:
+        a, d = divmod(k, p)
+        return min(a, 2 if d <= p - 3 else 1)
     top = 3 * (p - 1)
     best = [0, -1, -1]  # best[c]: most carries so far with carry c; -1 unreachable
     while k:
@@ -247,10 +263,11 @@ def g_k_exponent(p: int, k: int) -> int:
 
 
 def g_k(k: int) -> int:
-    """lcm of the trinomial coefficients k!/(k0! k1! k2!), k0+k1+k2 = k."""
+    """lcm of the trinomial coefficients k!/(k0! k1! k2!), k0+k1+k2 = k.
+    The sieved primes go straight to the exponent, untested again."""
     out = 1
     for p in primes_upto(k):
-        out *= p ** g_k_exponent(p, k)
+        out *= p ** _g_k_exponent(p, k)
     return out
 
 

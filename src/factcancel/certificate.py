@@ -15,6 +15,24 @@ from . import arith
 _DEC = decimal.Context(prec=arith.DEFAULT_DIGITS)
 
 
+def _digits(n: int) -> str:
+    """The decimal digits of n.  They go through decimal, which has no
+    4,300-digit limit like str(int): a k = 3000 bound has more."""
+    return str(decimal.Decimal(n))
+
+
+def _from_digits(text) -> int:
+    """The inverse of _digits, also without a length limit; text that is
+    not an integer in decimal digits raises ValueError."""
+    try:
+        d = decimal.Decimal(text)
+    except (decimal.InvalidOperation, TypeError):
+        d = None
+    if d is None or d.as_tuple().exponent != 0:  # also nan and inf
+        raise ValueError(f"not an integer: {text!r}")
+    return int(d)
+
+
 @dataclass(frozen=True)
 class CancellationCertificate:
     """Exact divisibility verdict for one cutoff k.
@@ -38,8 +56,8 @@ class CancellationCertificate:
     def to_dict(self) -> dict:
         return {
             "k": self.k,
-            "psi_k": str(self.psi_k),
-            "bound_k": None if self.bound_k is None else str(self.bound_k),
+            "psi_k": _digits(self.psi_k),
+            "bound_k": None if self.bound_k is None else _digits(self.bound_k),
             "divides": self.divides,
             "log_ratio_per_k": self.log_ratio_per_k,
             "asymptotic_constant": self.asymptotic_constant,
@@ -52,8 +70,8 @@ class CancellationCertificate:
     def from_dict(d: dict) -> "CancellationCertificate":
         return CancellationCertificate(
             k=d["k"],
-            psi_k=int(d["psi_k"]),
-            bound_k=None if d["bound_k"] is None else int(d["bound_k"]),
+            psi_k=_from_digits(d["psi_k"]),
+            bound_k=None if d["bound_k"] is None else _from_digits(d["bound_k"]),
             divides=d["divides"],
             log_ratio_per_k=d["log_ratio_per_k"],
             asymptotic_constant=d["asymptotic_constant"],

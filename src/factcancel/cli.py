@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import io
 import json
+import reprlib
 import sys
 from fractions import Fraction
 from math import factorial
@@ -43,12 +44,13 @@ def _print_cert(cert, as_json: bool, extra: dict = None) -> int:
     if as_json:
         print(json.dumps({**cert.to_dict(), **(extra or {})}, sort_keys=True))
     else:
+        wire = cert.to_dict()  # digits with no length limit
         print(f"k = {cert.k}")
-        print(f"psi_k = {cert.psi_k}")
+        print(f"psi_k = {wire['psi_k']}")
         if cert.bound_k is None:
             print("bound_k = (none: measurement only)")
         else:
-            print(f"bound_k = {cert.bound_k}")
+            print(f"bound_k = {wire['bound_k']}")
             print(f"divides = {cert.divides}")
         print(f"ln(psi_k)/k = {cert.log_ratio_per_k:.6f}")
         if cert.asymptotic_constant is not None:
@@ -325,20 +327,26 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return n
+def bounded_int(lo: int, hi: int):
+    """argparse type: an integer in [lo, hi].  Every size option has a cap
+    at which the README-sized inputs still finish in seconds, so a hostile
+    size exits 2 before any work is done."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:  # also text of more than 4,300 digits
+            n = None
+        if n is None or not lo <= n <= hi:
+            shown = reprlib.repr(text)  # a hostile value is shortened
+            raise argparse.ArgumentTypeError(f"must be an integer in [{lo}, {hi}], got {shown}")
+        return n
+
+    return parse
 
 
-def nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return n
+def _size(p, flag: str, lo: int, hi: int, **kw) -> None:
+    p.add_argument(flag, type=bounded_int(lo, hi), help=f"{lo}..{hi}", **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,27 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = csub.add_parser("scalar")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
+    _size(p, "--k", 1, 4000, required=True)
+    _size(p, "--r", 1, 8, default=1)
     common(p)
     p.set_defaults(fn=cmd_certify_scalar)
 
     p = csub.add_parser("matrix")
     p.add_argument("--file", required=True)
-    p.add_argument("--k", type=int, required=True)
+    _size(p, "--k", 1, 5000, required=True)
     common(p)
     p.set_defaults(fn=cmd_certify_matrix)
 
     p = csub.add_parser("fuchsian")
     p.add_argument("--file", required=True)
-    p.add_argument("--k", type=int, required=True)
+    _size(p, "--k", 1, 500, required=True)
     common(p)
     p.set_defaults(fn=cmd_certify_fuchsian)
 
     p = csub.add_parser("constcoef")
     p.add_argument("--file", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--degree-cap", dest="degree_cap", type=positive_int, default=4)
+    _size(p, "--k", 1, 1000, required=True)
+    _size(p, "--degree-cap", 1, 10, dest="degree_cap", default=4)
     common(p)
     p.set_defaults(fn=cmd_certify_constcoef)
 
@@ -385,13 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", action="append")
         p.add_argument("--file")
         if name in ("series", "system"):
-            p.add_argument("--N", type=nonnegative_int, default=20)
+            _size(p, "--N", 0, 2000, default=20)
         if name == "lemma11":
-            p.add_argument("--k", type=int, default=20)
+            _size(p, "--k", 1, 300, default=20)
         if name == "theorem6":
             p.add_argument("--xi", required=True)
             p.add_argument("--epsilon", required=True)
-            p.add_argument("--precision", type=positive_int, default=arith.DEFAULT_DIGITS)
+            _size(p, "--precision", 1, 10000, default=arith.DEFAULT_DIGITS)
         common(p)
         p.set_defaults(fn=cmd_hyper)
 

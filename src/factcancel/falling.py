@@ -9,9 +9,11 @@ b^k d_k^{r-1} prod_{p|b} p^{tau_p(k)} with b = den(lambda).
 pencil_steps is the one fraction-free recurrence behind every psi_k: it
 carries N_n / D_n = (N_0 / D_0) prod_{i<n} (L0 - i L1) / (n! tau^n) for an
 integer pencil.  delta_steps, the Delta_n table of an integer matrix, is its
-constant case (L0, L1, tau) = (A, q E, q), used by the scalar, matrix and
-constant-coefficient certificates; fuchs._scaled_qn builds the polynomial
-pencil of T^n Q^[n] / n!.
+constant case (L0, L1, tau) = (A, q E, q), used by the matrix and
+constant-coefficient certificates.  The scalar certificates run the pencil
+of q J_r(lambda) on one row, not the full Delta-table of J_r: the table is
+upper-triangular Toeplitz, so row 0 holds every entry.  fuchs._scaled_qn
+builds the polynomial pencil of T^n Q^[n] / n!.
 """
 
 from __future__ import annotations
@@ -99,13 +101,15 @@ def delta_steps(
 
 
 def _jordan_steps(lam: Fraction, k: int, r: int):
-    """delta_steps on the integer form of J_r(lam): Delta_n(J_r(lam)) is the
-    upper-triangular Toeplitz matrix of Delta_n^{(j)}(lam)/j!, j < r."""
+    """pencil_steps on the integer form q J_r(lam), q = den(lam), from the
+    single row e_0: Delta_n(J_r(lam)) is the upper-triangular Toeplitz
+    matrix of Delta_n^{(j)}(lam)/j!, j < r, so its row 0 holds every entry
+    and carries the same content and D_n as the full r x r table."""
     if r < 1:
         raise ValueError("r must be >= 1")
     p, q = lam.numerator, lam.denominator
-    J = [[p if j == i else q if j == i + 1 else 0 for j in range(r)] for i in range(r)]
-    return delta_steps(J, q, k)
+    cols = [[(0, p, q)]] + [[(j - 1, q, 0), (j, p, q)] for j in range(1, r)]
+    return pencil_steps(cols, q, k, [[1] + [0] * (r - 1)])
 
 
 def delta_derivatives(lam: Fraction, n: int, r: int) -> list[Fraction]:
@@ -124,7 +128,7 @@ def delta_derivatives_via_shift(lam: Fraction, n: int, r: int) -> list[Fraction]
 
 def psi_scalar(lam: Fraction, k: int, r: int = 1) -> int:
     """Measured lcm of the denominators of Delta_n^{(j)}(lam)/j!,
-    j < r, n <= k, from one delta_steps pass over J_r(lam)."""
+    j < r, n <= k, from one pencil pass over row 0 of J_r(lam)."""
     out = 1
     for _, D in _jordan_steps(lam, k, r):
         out = lcm(out, D)

@@ -121,16 +121,17 @@ def test_chi_values():
         assert arith.chi(1) == 0
 
 
-@pytest.mark.parametrize("k", list(range(41)) + [55])
+@pytest.mark.parametrize("k", range(61))
 def test_g_k_matches_enumeration(k):
     assert arith.g_k(k) == arith.g_k_by_enumeration(k)
 
 
 def test_g_k_exponent_matches_brute_force():
-    # max of tau_p(k) - tau_p(k0) - tau_p(k1) - tau_p(k2) over k0 + k1 + k2 = k
-    for p in arith.primes_upto(60):
-        tau = [arith.tau_p(p, n) for n in range(61)]
-        for k in range(p, 61):
+    # max of tau_p(k) - tau_p(k0) - tau_p(k1) - tau_p(k2) over k0 + k1 + k2 = k;
+    # every prime above 8 meets k <= 80 only in the closed form for p^2 > k
+    for p in arith.primes_upto(80):
+        tau = [arith.tau_p(p, n) for n in range(81)]
+        for k in range(p, 81):
             brute = max(
                 tau[k] - tau[k0] - tau[k1] - tau[k - k0 - k1]
                 for k0 in range(k + 1)

@@ -2,6 +2,7 @@ import math
 import time
 
 import mpmath
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +40,22 @@ def test_json_ignores_a_stray_digits_key():
     d = cert.to_dict()
     assert "digits" not in d
     assert CancellationCertificate.from_dict({**d, "digits": 80}) == cert
+
+
+def test_json_round_trip_past_the_int_string_limit():
+    # str(int) and int(str) stop at 4,300 digits; the wire form does not
+    cert = make_certificate(3000, 7**6000, 7**6001 * 10**9, None)
+    d = cert.to_dict()
+    assert len(d["bound_k"]) > 5000
+    assert d["psi_k"].isdigit()
+    assert CancellationCertificate.from_json(cert.to_json()) == cert
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", "nan", "Infinity", "x", ""])
+def test_from_dict_rejects_non_integer_digits(text):
+    d = make_certificate(3, 8, 16, None).to_dict()
+    with pytest.raises(ValueError):
+        CancellationCertificate.from_dict({**d, "psi_k": text})
 
 
 @settings(max_examples=150, deadline=None)

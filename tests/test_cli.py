@@ -475,6 +475,55 @@ def test_json_roundtrip_certificate(capsys):
     assert CancellationCertificate.from_json(cert.to_json()) == cert
 
 
+def test_certificate_past_the_int_string_limit(capsys):
+    # bound_k has more than 4,300 digits, the limit of str(int) and int(str)
+    argv = ["certify", "scalar", "--lambda", "1/3", "--k", "3000", "--r", "3"]
+    code, out = run(capsys, *argv, "--json")
+    assert code == 0
+    cert = CancellationCertificate.from_json(out)
+    assert len(json.loads(out)["bound_k"]) > 4300
+    assert CancellationCertificate.from_json(cert.to_json()) == cert
+    code, text = run(capsys, *argv)
+    assert code == 0
+    assert f"bound_k = {json.loads(out)['bound_k']}" in text
+
+
+#: stands in argv for the README matrix file that the test writes
+_FILE = "m.json"
+#: each size option with its documented cap
+_SIZE_CAPS = [
+    (["certify", "scalar", "--lambda", "1/2"], "--k", 4000),
+    (["certify", "scalar", "--lambda", "1/2", "--k", "5"], "--r", 8),
+    (["certify", "matrix", "--file", _FILE], "--k", 5000),
+    (["certify", "fuchsian", "--file", _FILE], "--k", 500),
+    (["certify", "constcoef", "--file", _FILE], "--k", 1000),
+    (["certify", "constcoef", "--file", _FILE, "--k", "5"], "--degree-cap", 10),
+    (["hyper", "series", "--alpha", "1/3", "--beta", "1/2"], "--N", 2000),
+    (["hyper", "system", "--alpha", "1/3", "--beta", "1/2"], "--N", 2000),
+    (["hyper", "lemma11", "--alpha", "1/3", "--beta", "1/2"], "--k", 300),
+    (_THEOREM6, "--precision", 10000),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, cap", _SIZE_CAPS, ids=[f"{a[1]}{flag}" for a, flag, _ in _SIZE_CAPS]
+)
+def test_size_over_its_cap_exits_2_fast(tmp_path, capsys, argv, flag, cap):
+    f = tmp_path / _FILE
+    f.write_text(json.dumps(_MATRIX_JSON))
+    argv = [str(f) if a == _FILE else a for a in argv]
+    args = cli.build_parser().parse_args([*argv, flag, str(cap)])
+    assert getattr(args, flag[2:].replace("-", "_")) == cap
+    for value in (str(cap + 1), "9" * 5000):
+        start = time.perf_counter()
+        code = main([*argv, flag, value])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer in" in err
+        assert "Traceback" not in err
+
+
 # argv fuzz: every subcommand with each of its flags missing, given once or
 # given twice.  Values are small integers, "0", negatives, rationals with
 # small denominators and, less often, malformed text, so that most argv reach

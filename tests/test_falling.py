@@ -69,6 +69,23 @@ def test_pencil_steps_matches_fraction_product(pencil, k):
         assert [[Fraction(x, D) for x in row] for row in N] == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(min_value=-30, max_value=30, max_denominator=30),
+    st.integers(1, 5),
+    st.integers(0, 40),
+)
+def test_jordan_row_matches_full_delta_table(lam, r, k):
+    # Delta_n(J_r(lam)) is upper-triangular Toeplitz: row 0 carries the
+    # same D_n as the full table, and is that table's row 0
+    p, q = lam.numerator, lam.denominator
+    J = [[p if j == i else q if j == i + 1 else 0 for j in range(r)] for i in range(r)]
+    full = falling.delta_steps(J, q, k)
+    for (N, D), (N_full, D_full) in zip(falling._jordan_steps(lam, k, r), full, strict=True):
+        assert D == D_full
+        assert N == [N_full[0]]
+
+
 def test_delta_poly_coeffs_evaluates():
     p = falling.delta_poly_coeffs(4)
     for x in (Fraction(1, 2), Fraction(7), Fraction(-2, 3)):
