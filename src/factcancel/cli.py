@@ -417,16 +417,16 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    out = io.StringIO()
+    out = io.StringIO()  # written out only if the handler returns
     try:
         with contextlib.redirect_stdout(out):
             code = args.fn(args)
     except (IrrationalSpectrum, NotCommuting, RepeatedRootMinPoly) as exc:
         print(f"unsupported input: {exc}", file=sys.stderr)
-        code = EXIT_UNSUPPORTED
+        return EXIT_UNSUPPORTED
     except (ValueError, FactCancelError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        code = EXIT_INPUT
+        return EXIT_INPUT
     try:
         sys.stdout.write(out.getvalue())
         sys.stdout.flush()

@@ -8,12 +8,12 @@ b^k d_k^{r-1} prod_{p|b} p^{tau_p(k)} with b = den(lambda).
 
 pencil_steps is the one fraction-free recurrence behind every psi_k: it
 carries N_n / D_n = (N_0 / D_0) prod_{i<n} (L0 - i L1) / (n! tau^n) for an
-integer pencil.  delta_steps, the Delta_n table of an integer matrix, is its
+integer pencil given as rows of nonzero entries, scattering only nonzero
+entries of N_n.  delta_steps, the Delta_n table of an integer matrix, is its
 constant case (L0, L1, tau) = (A, q E, q), used by the matrix and
 constant-coefficient certificates.  The scalar certificates run the pencil
-of q J_r(lambda) on one row, not the full Delta-table of J_r: the table is
-upper-triangular Toeplitz, so row 0 holds every entry.  fuchs._scaled_qn
-builds the polynomial pencil of T^n Q^[n] / n!.
+of q J_r(lambda) on one row: Delta_n(J_r) is upper-triangular Toeplitz, so
+row 0 holds every entry.  fuchs._scaled_qn builds the polynomial pencil.
 """
 
 from __future__ import annotations
@@ -54,29 +54,37 @@ def delta_poly_coeffs(n: int) -> UniPoly:
 
 
 def pencil_steps(
-    cols: list, tau: int, k: int, N: list[list[int]], D: int = 1, grow: int = 0
+    rows: list, tau: int, k: int, N: list[list[int]], D: int = 1
 ) -> Iterator[tuple[list[list[int]], int]]:
     """Yield (N_n, D_n) for n = 0, 1, ..., k with
     N_n / D_n = (N_0 / D_0) prod_{i<n} (L0 - i L1) / (n! tau^n)
     for the integer pencil L0 - s L1, integer row vectors N_0 and tau >= 1.
 
-    cols[j] lists the nonzero triples (i, L0[i][j], L1[i][j]) of column j.
-    The step N <- N (L0 - (n-1) L1), D <- D n tau is followed by division of
-    both by g = gcd(D, content(N)) (the common-denominator idea of Bareiss'
-    fraction-free elimination), so D_n is exactly the lcm of the entry
-    denominators of N_n / D_n.  Rows are kept len(cols) long, and step n
-    computes only their first len(N_0[0]) + n grow slots: the caller
-    promises that the other slots stay zero.  A step costs one product per
-    triple of a computed column and per row.
+    rows[i] lists the nonzero triples (j, L0[i][j], L1[i][j]) of pencil row
+    i; rows of N_0 are zero-padded to len(rows).  Step n forms row i's
+    coefficients (j, L0[i][j] - (n-1) L1[i][j]) once, at the first nonzero
+    x = N[r][i], and scatters each such x as N[r][j] += x c; then
+    D <- D n tau, and both are divided by g = gcd(D, content(N)) (the
+    common-denominator idea of Bareiss' fraction-free elimination), so D_n
+    is exactly the lcm of the entry denominators of N_n / D_n.  k steps cost
+    O(k len(N) sum_rows nnz) products, fewer while N_n has zero entries.
     """
-    live = len(N[0])
-    N = [row + [0] * (len(cols) - live) for row in N]
+    width = len(rows)
+    N = [row + [0] * (width - len(row)) for row in N]
     yield N, D
     for n in range(1, k + 1):
         s = n - 1
-        live += grow
-        computed, tail = cols[:live], [0] * (len(cols) - live)
-        N = [[sum(row[i] * (a - s * b) for i, a, b in col) for col in computed] + tail for row in N]
+        step = [None] * width
+        scattered = [[0] * width for _ in N]
+        for row, acc in zip(N, scattered):
+            for i, x in enumerate(row):
+                if x:
+                    coeffs = step[i]
+                    if coeffs is None:
+                        coeffs = step[i] = [(j, a - s * b) for j, a, b in rows[i]]
+                    for j, c in coeffs:
+                        acc[j] += x * c
+        N = scattered
         D *= n * tau
         g = gcd(D, *chain.from_iterable(N))
         if g > 1:
@@ -90,14 +98,14 @@ def delta_steps(
 ) -> Iterator[tuple[list[list[int]], int]]:
     """Yield (N_n, D_n) with Delta_n(A/q) = N_n / D_n for n = 0, 1, ..., k:
     pencil_steps on (L0, L1, tau) = (A, q E, q), from Delta_0 = E.  A is a
-    square integer matrix (list of rows) and q >= 1; a step costs
-    O(m (nnz(A) + m)) integer operations for an m x m matrix."""
+    square integer matrix (list of rows) and q >= 1; pencil row i is row i
+    of A plus q on the diagonal, so a step costs O(m (nnz(A) + m))."""
     m = len(A)
-    cols = [
-        [(i, A[i][j], q * (i == j)) for i in range(m) if A[i][j] or i == j]
-        for j in range(m)
+    rows = [
+        [(j, A[i][j], q * (i == j)) for j in range(m) if A[i][j] or i == j]
+        for i in range(m)
     ]
-    return pencil_steps(cols, q, k, [[int(i == j) for j in range(m)] for i in range(m)])
+    return pencil_steps(rows, q, k, [[int(i == j) for j in range(m)] for i in range(m)])
 
 
 def _jordan_steps(lam: Fraction, k: int, r: int):
@@ -108,8 +116,8 @@ def _jordan_steps(lam: Fraction, k: int, r: int):
     if r < 1:
         raise ValueError("r must be >= 1")
     p, q = lam.numerator, lam.denominator
-    cols = [[(0, p, q)]] + [[(j - 1, q, 0), (j, p, q)] for j in range(1, r)]
-    return pencil_steps(cols, q, k, [[1] + [0] * (r - 1)])
+    rows = [[(i, p, q), (i + 1, q, 0)] for i in range(r - 1)] + [[(r - 1, p, q)]]
+    return pencil_steps(rows, q, k, [[1] + [0] * (r - 1)])
 
 
 def delta_derivatives(lam: Fraction, n: int, r: int) -> list[Fraction]:

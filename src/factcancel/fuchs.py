@@ -200,8 +200,9 @@ def _scaled_qn(
     L0: v -> t v' + v P and L1: v -> t' v on polynomial row vectors v, so
     D_n is exactly the lcm of the coefficient denominators of R_n.  Row r of
     N_n is flat: N_n[r][d m + j] is the z^d coefficient of entry (r, j).
-    The degree grows by (number of poles - 1) per step, and the pencil gets
-    columns up to the degree reached at n_max.
+    Pencil row d m + l holds the images of z^d in slot l, of degree at most
+    d + (number of poles - 1), so rows up to the degree top reached at n_max
+    hold every step.
     """
     T = system.t_poly()
     TQ = _tq_poly(system)
@@ -213,24 +214,22 @@ def _scaled_qn(
     D = R.coeff_denominator()
     width = max([1] + [len(e.coeffs) for row in R.rows for e in row])
     N = [[int(e[d] * D) for d in range(width) for e in row] for row in R.rows]
-    grow = len(t) - 2
-    top = width + n_max * grow
-    cols = []
-    for e in range(top):
-        for j in range(m):
-            # column e m + j: t v' - s t' v takes z^d to (d - s a) t_a z^(d-1+a)
-            col = {}
+    top = width + n_max * (len(t) - 2)
+    rows = []
+    for d in range(top):
+        for l in range(m):
+            # slot d m + l: t v' - s t' v takes z^d to (d - s a) t_a z^(d-1+a)
+            row = {}
             for a, c in enumerate(t):
-                d = e + 1 - a
-                if 0 <= d < top:
-                    L = col.setdefault(d * m + j, [0, 0])
+                if 0 <= d - 1 + a < top:
+                    L = row.setdefault((d - 1 + a) * m + l, [0, 0])
                     L[0] += d * c
                     L[1] += a * c
-            for l in range(m):
-                for a, c in enumerate(P[l][j][: e + 1]):
-                    col.setdefault((e - a) * m + l, [0, 0])[0] += c
-            cols.append([(i, l0, l1) for i, (l0, l1) in col.items() if l0 or l1])
-    return falling.pencil_steps(cols, tau, n_max, N, D, m * grow)
+            for j in range(m):
+                for a, c in enumerate(P[l][j][: top - d]):
+                    row.setdefault((d + a) * m + j, [0, 0])[0] += c
+            rows.append([(i, l0, l1) for i, (l0, l1) in row.items() if l0 or l1])
+    return falling.pencil_steps(rows, tau, n_max, N, D)
 
 
 def _polymat(N: list, D: int, c: int = 1) -> PolyMat:

@@ -488,6 +488,23 @@ def test_certificate_past_the_int_string_limit(capsys):
     assert f"bound_k = {json.loads(out)['bound_k']}" in text
 
 
+@pytest.mark.parametrize(
+    "exc, want", [(ValueError("late failure"), 2), (cli.NotCommuting("late failure"), 3)]
+)
+def test_handler_that_raises_prints_no_partial_result(monkeypatch, capsys, exc, want):
+    def half_done(args):
+        print("k = 50")
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_certify_scalar", half_done)
+    code = main(["certify", "scalar", "--lambda", "1/2", "--k", "50"])
+    captured = capsys.readouterr()
+    assert code == want
+    assert captured.out == ""
+    assert "late failure" in captured.err
+    assert "Traceback" not in captured.err
+
+
 #: stands in argv for the README matrix file that the test writes
 _FILE = "m.json"
 #: each size option with its documented cap

@@ -46,22 +46,27 @@ def test_delta_derivatives_order_one_is_delta(lam, n):
 @st.composite
 def _pencils(draw):
     m = draw(st.integers(1, 4))
-    row = st.lists(st.integers(-9, 9), min_size=m, max_size=m)
+    entry = st.integers(-9, 9)
+    if draw(st.booleans()):  # sparse: about two entries in three are zero
+        entry = entry.map(lambda x: x if abs(x) > 6 else 0)
+    row = st.lists(entry, min_size=m, max_size=m)
     L0 = draw(st.lists(row, min_size=m, max_size=m))
     L1 = draw(st.lists(row, min_size=m, max_size=m))
-    N0 = draw(st.lists(row, min_size=1, max_size=3))
+    # N_0 rows may be all zero or shorter than the pencil (zero-padded)
+    n0_row = st.integers(0, m).flatmap(lambda w: st.lists(entry, min_size=w, max_size=w))
+    N0 = draw(st.lists(st.one_of(n0_row, st.just([0] * m)), min_size=1, max_size=3))
     return L0, L1, draw(st.integers(1, 12)), N0, draw(st.integers(1, 12))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(_pencils(), st.integers(0, 10))
 def test_pencil_steps_matches_fraction_product(pencil, k):
     # N_n/D_n = (N_0/D_0) prod_{i<n} (L0 - i L1) / (n! tau^n), in lowest terms
     L0, L1, tau, N0, D0 = pencil
     m = len(L0)
-    cols = [[(i, L0[i][j], L1[i][j]) for i in range(m) if L0[i][j] or L1[i][j]] for j in range(m)]
-    want = [[Fraction(x, D0) for x in row] for row in N0]
-    for n, (N, D) in enumerate(falling.pencil_steps(cols, tau, k, N0, D0)):
+    rows = [[(j, L0[i][j], L1[i][j]) for j in range(m) if L0[i][j] or L1[i][j]] for i in range(m)]
+    want = [[Fraction(x, D0) for x in row] + [Fraction(0)] * (m - len(row)) for row in N0]
+    for n, (N, D) in enumerate(falling.pencil_steps(rows, tau, k, N0, D0)):
         if n:
             step = [[Fraction(L0[i][j] - (n - 1) * L1[i][j], n * tau) for j in range(m)] for i in range(m)]
             want = [[sum(row[i] * step[i][j] for i in range(m)) for j in range(m)] for row in want]
