@@ -12,7 +12,7 @@ certificate.growth_constant and hyper.theorem6's C0 with.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import NotPrime
@@ -24,8 +24,10 @@ DEFAULT_DIGITS = 50
 
 Rat = Fraction
 
-#: witnesses making Miller-Rabin deterministic below 3.3e24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: the first 13 primes: as Miller-Rabin witnesses they are deterministic
+#: below psi_13 = 3.3e24 (Sorenson and Webster, Math. Comp. 86, 2017); the
+#: first 12 only below psi_12 = 3.2e23
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
@@ -45,36 +47,88 @@ def format_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin witnesses below 3.3e24,
-    trial division above; inputs here are tiny in practice)."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    if n >= _MR_LIMIT:
-        i = 41
-        while i * i <= n:
-            if n % i == 0:
-                return False
-            i += 2
-        return True
+def _strong_prp(n: int, a: int) -> bool:
+    """True if the odd n > a is a strong probable prime to base a (one
+    Miller-Rabin round)."""
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _half(x: int, n: int) -> int:
+    """x / 2 modulo the odd n."""
+    return (x if x % 2 == 0 else x + n) // 2 % n
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """True if n is a strong Lucas probable prime for Selfridge's
+    parameters: P = 1, Q = (1 - D)/4 with D the first of 5, -7, 9, -11, ...
+    with (D/n) = -1.  With n + 1 = d 2^s, that means U_d = 0 or
+    V_{d 2^r} = 0 (mod n) for some r < s.  The odd n must not be a square
+    (no such D exists then) and must exceed every |D| tried, so that
+    (D/n) = 0 means a proper factor."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # gcd(D, n) > 1 and n > |D|
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 0, 2, 1  # U_k, V_k, Q^k at k = 0, then along the bits of d
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = _half(U + V, n), _half(D * U + V, n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Primality: Miller-Rabin with the witnesses _MR_BASES, deterministic
+    below _MR_LIMIT = 3.3e24; above it, BPSW, a strong base-2 test and a
+    strong Lucas test (Baillie and Wagstaff, Math. Comp. 35, 1980), which
+    has no known counterexample and none below 2^64."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_LIMIT:
+        return all(_strong_prp(n, a) for a in _MR_BASES)
+    return _strong_prp(n, 2) and isqrt(n) ** 2 != n and _strong_lucas_prp(n)
 
 
 #: trial divisors tried before Pollard-Brent rho; they cover every b < 101**2

@@ -17,7 +17,7 @@ from math import comb, factorial, lcm
 from . import arith, falling
 from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
 from .errors import NotPrime, RepeatedRootMinPoly
-from .matfun import MatQ, _compositions, _integer_form, matrix_delta, spectral
+from .matfun import MatQ, _compositions, _flag_basis, matrix_delta, spectral
 from .poly import MultiPoly
 
 
@@ -281,7 +281,11 @@ def certify_constcoef(
     [A] preserves degree, so on the degree-d monomials (1/n!) A_n is
     Delta_n(S_d/q) for the integer matrix S_d of q[A]; psi_k is the lcm of
     the falling.delta_steps denominators over d = 1..degree_cap (constants
-    are killed by [A]).  Requires rational spectrum and squarefree minimal
+    are killed by [A]).  q A is taken in its flag form C = V (qA) V^-1
+    (matfun._flag_basis): the unimodular V changes the monomial basis of
+    each degree unimodularly, so the denominators stay those of q[A], and
+    as C is upper triangular, each S_d of C is upper triangular in
+    _compositions order.  Requires rational spectrum and squarefree minimal
     polynomial; degrees above degree_cap are untested.
     """
     if k < 1:
@@ -294,7 +298,7 @@ def certify_constcoef(
     b = data.b
     t1t2 = data.t1 * data.t2
     psi = 1
-    q, qA = _integer_form(A)
+    q, qA = _flag_basis(A, data)
     for S in _induced_matrices(qA, degree_cap):
         for _, D in falling.delta_steps(S, q, k):
             psi = lcm(psi, D)

@@ -68,9 +68,21 @@ def pencil_steps(
     common-denominator idea of Bareiss' fraction-free elimination), so D_n
     is exactly the lcm of the entry denominators of N_n / D_n.  k steps cost
     O(k len(N) sum_rows nnz) products, fewer while N_n has zero entries.
+
+    When every row i lists only targets j >= i, det M = prod_i (L0[i][i] -
+    s L1[i][i]) for M = L0 - s L1.  From step 2 on N_{n-1} / D_{n-1} is in
+    lowest terms, so Cramer's rule, N_{n-1} det M = N_n adj M before the
+    strip, shows that g divides n tau det M, and the strip runs
+    gcd(n tau det M, *N, D), in which no gcd takes two large arguments.
+    It keeps gcd(D, *N) when det M = 0, and when n tau det M reaches the
+    size of D, as on wide triangular pencils (fuchs._scaled_qn with a pole
+    at 0 and upper-triangular residues), where it would save nothing.
     """
     width = len(rows)
     N = [row + [0] * (width - len(row)) for row in N]
+    diag = None
+    if all(j >= i for i, row in enumerate(rows) for j, _, _ in row):
+        diag = [next(((a, b) for j, a, b in row if j == i), (0, 0)) for i, row in enumerate(rows)]
     yield N, D
     for n in range(1, k + 1):
         s = n - 1
@@ -86,7 +98,15 @@ def pencil_steps(
                         acc[j] += x * c
         N = scattered
         D *= n * tau
-        g = gcd(D, *chain.from_iterable(N))
+        bound = 0
+        if diag and n > 1:
+            bound, bits = n * tau, D.bit_length()
+            for a, b in diag:
+                bound *= a - s * b
+                if not bound or bound.bit_length() >= bits:
+                    bound = 0
+                    break
+        g = gcd(bound or D, *chain.from_iterable(N), D)
         if g > 1:
             N = [[x // g for x in row] for row in N]
             D //= g

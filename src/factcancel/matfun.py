@@ -300,6 +300,29 @@ def _inverse(rows: list[list[int]]) -> tuple[list[list[int]], int]:
     return [[x * (d // row[i]) for x in row[n:]] for i, row in enumerate(red)], d
 
 
+def _flag_form(B: list[list[int]], T: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """(V, V B V^-1) for a unimodular V with V T upper triangular, built by
+    Euclid's algorithm on the rows of T, column by column.  When the span of
+    the first i columns of T is B-invariant for every i, as for Jordan
+    chains listed eigenvector first, V B V^-1 = (V T) J (V T)^-1 is upper
+    triangular over Z with the eigenvalues of T's columns on its diagonal."""
+    n = len(T)
+    R = [list(row) for row in T]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    C = [list(row) for row in B]
+    for c in range(n):
+        for i in range(c + 1, n):
+            while R[i][c]:
+                t = R[c][c] // R[i][c]
+                # rows (c, i) <- (row i, row c - t row i), and columns (c, i)
+                # of C <- (t col c + col i, col c), the inverse operation
+                for M in (R, V, C):
+                    M[c], M[i] = M[i], [p - t * r for p, r in zip(M[c], M[i])]
+                for row in C:
+                    row[c], row[i] = t * row[c] + row[i], row[c]
+    return V, C
+
+
 class _Span:
     """Incremental row space over Z in echelon form: row i is zero in the
     pivot columns of rows 0..i-1."""
@@ -667,14 +690,24 @@ def conjugation_check(A: MatQ, T: MatQ, n: int) -> bool:
     return lhs == rhs
 
 
+def _flag_basis(A: MatQ, data: SpectralData) -> tuple[int, list[list[int]]]:
+    """(q, C) with C = V (qA) V^-1 upper triangular over Z for a unimodular
+    V (_flag_form on the integer Jordan chains of data).  Delta_n(C/q) =
+    V Delta_n(A) V^-1 spans the same Z-module as Delta_n(A), so it has the
+    same entry denominator, and its Delta table stays upper triangular."""
+    q, B = _integer_form(A)
+    return q, _flag_form(B, [[x.numerator for x in row] for row in data.jordan_T.rows])[1]
+
+
 def certify_matrix(A: MatQ, k: int) -> CancellationCertificate:
     """psi_k = exact lcm of entry denominators of Delta_n(A), n <= k, from
-    one falling.delta_steps pass over q A (q = entry denominator of A);
+    one falling.delta_steps pass over the upper-triangular flag form of
+    q A (q = entry denominator of A), which has the same denominators;
     certified against t1 t2 b^k d_k^{r-1} prod_{p|b} p^{tau_p(k)}."""
     if k < 1:
         raise ValueError("k must be >= 1")
     data = spectral(A)
-    q, B = _integer_form(A)
+    q, B = _flag_basis(A, data)
     psi = 1
     for _, D in falling.delta_steps(B, q, k):
         psi = lcm(psi, D)

@@ -30,6 +30,78 @@ def test_is_prime_small():
     assert arith.is_prime(2**31 - 1)
 
 
+# psi_12 = 3.2e23: the least strong pseudoprime to the twelve prime bases
+# up to 37, caught only by base 41
+_PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_needs_base_41_below_mr_limit():
+    assert _PSI_12 < arith._MR_LIMIT
+    assert all(arith._strong_prp(_PSI_12, a) for a in arith._MR_BASES[:-1])
+    assert not arith.is_prime(_PSI_12)
+    assert arith.prime_factors(_PSI_12) == [399165290221, 798330580441]
+    with pytest.raises(NotPrime):
+        arith.g_k_exponent(_PSI_12, 10)
+
+
+@pytest.mark.parametrize("n", [2**89 - 1, 2**107 - 1, 2**127 - 1, 10**30 + 57])
+def test_bpsw_accepts_large_primes(n):
+    assert n > arith._MR_LIMIT
+    start = time.perf_counter()
+    assert arith.is_prime(n)
+    assert arith.prime_factors(n) == [n]
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        arith._MR_LIMIT,  # psi_13: a strong pseudoprime to all 13 bases
+        (10**15 + 37) * (10**15 + 91),
+        999999999999989 * 1000000000000037,
+        (2**61 - 1) * (2**89 - 1),
+        (2**89 - 1) ** 2,
+        (10**13 + 37) ** 2,  # a square: the Lucas test needs (D/n) = -1
+    ],
+)
+def test_bpsw_rejects_large_composites(n):
+    assert n >= arith._MR_LIMIT
+    start = time.perf_counter()
+    assert not arith.is_prime(n)
+    assert time.perf_counter() - start < 1.0
+
+
+# each half of BPSW alone is fooled by some composites; the other half
+# catches them: strong base-2 pseudoprimes and strong Lucas pseudoprimes
+@pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321, 15841, 29341, 3215031751])
+def test_strong_lucas_rejects_base_2_pseudoprimes(n):
+    assert arith._strong_prp(n, 2)
+    assert not arith._strong_lucas_prp(n)
+
+
+@pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199])
+def test_base_2_rejects_strong_lucas_pseudoprimes(n):
+    assert arith._strong_lucas_prp(n)
+    assert not arith._strong_prp(n, 2)
+
+
+def _bpsw(n):
+    return arith._strong_prp(n, 2) and arith._strong_lucas_prp(n)
+
+
+@settings(max_examples=300)
+@example(_PSI_12)
+@example(3215031751)
+@example(2**61 - 1)
+@example(999999999989 * 1000000000039)
+@given(st.integers(21, (arith._MR_LIMIT - 3) // 2).map(lambda h: 2 * h + 1))
+def test_bpsw_matches_miller_rabin_below_limit(n):
+    # below _MR_LIMIT the 13-base Miller-Rabin test is deterministic
+    if math.gcd(n, math.prod(arith._MR_BASES)) > 1 or math.isqrt(n) ** 2 == n:
+        return
+    assert _bpsw(n) == all(arith._strong_prp(n, a) for a in arith._MR_BASES)
+
+
 def test_primes_upto_and_pi():
     assert arith.primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert arith.prime_pi(100) == 25

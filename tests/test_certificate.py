@@ -77,8 +77,8 @@ def test_bound_steps_matches_factored_formula(b, base, d_exp, k_max):
 
 
 def test_bound_steps_does_not_factor_b():
-    # b = (10^15 + 37)(10^15 + 91) is past the Miller-Rabin range, where
-    # is_prime falls back to trial division up to 10^15
+    # b = (10^15 + 37)(10^15 + 91): Pollard-Brent rho needs about 10^7.5
+    # steps to split it, so factoring b would stall
     b = (10**15 + 37) * (10**15 + 91)
     start = time.perf_counter()
     *_, last = bound_steps(b, 60)

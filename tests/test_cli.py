@@ -236,6 +236,20 @@ def test_closed_pipe_exits_0_with_empty_stderr():
     assert proc.stderr == b""
 
 
+def test_large_prime_denominator_finishes_fast():
+    # 10^30 + 57 is prime and past the Miller-Rabin range: growth_constant's
+    # chi(b) factors b, and BPSW accepts it at once
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "factcancel.cli", "certify", "scalar", "--lambda",
+         "1/1000000000000000000000000000057", "--k", "5", "--json"],
+        capture_output=True, text=True, env=_env(), timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["divides"] is True
+
+
 # Small JSON values of any shape, and well-formed matrices, Fuchsian systems
 # and parameter sets built from them, so that the certificates run too.
 # Entries reach |int| <= 10**6, exponent strings such as "9e9" and a

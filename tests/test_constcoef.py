@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factcancel import catalog, constcoef as cc
+from factcancel import catalog, constcoef as cc, falling
 from factcancel.errors import NotPrime, RepeatedRootMinPoly
-from factcancel.matfun import MatQ, _compositions, matrix_delta
+from factcancel.matfun import MatQ, _compositions, _integer_form, matrix_delta
 from factcancel.poly import MultiPoly
 
 F = Fraction
@@ -208,3 +208,22 @@ def test_certify_psi_matches_operator_oracle(i):
                 if n <= k and d <= cap:
                     want = lcm(want, den)
             assert cc.certify_constcoef(A, k, cap).psi_k == want, (k, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 6)), min_size=1, max_size=3),
+    st.integers(0, 50),
+    st.integers(1, 12),
+    st.integers(1, 5),
+)
+def test_certify_psi_matches_unconjugated_delta_steps(eigenvalues, seed, k, cap):
+    # reference: the delta_steps route on the induced matrices of q A itself,
+    # without the flag basis
+    A = catalog.from_jordan_data([(lam, 1) for lam in eigenvalues], seed)
+    q, qA = _integer_form(A)
+    want = 1
+    for S in cc._induced_matrices(qA, cap):
+        for _, D in falling.delta_steps(S, q, k):
+            want = lcm(want, D)
+    assert cc.certify_constcoef(A, k, cap).psi_k == want

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factcancel import arith, falling
@@ -52,13 +52,25 @@ def _pencils(draw):
     row = st.lists(entry, min_size=m, max_size=m)
     L0 = draw(st.lists(row, min_size=m, max_size=m))
     L1 = draw(st.lists(row, min_size=m, max_size=m))
+    if draw(st.booleans()):  # upper triangular: the kernel strips by n tau det
+        for i in range(m):
+            L0[i][:i] = L1[i][:i] = [0] * i
+            # a diagonal (b s, b) makes det 0 at step s + 1, or at every step if b = 0
+            if draw(st.booleans()):
+                b = draw(st.integers(-3, 3))
+                L0[i][i], L1[i][i] = b * draw(st.integers(0, 10)), b
     # N_0 rows may be all zero or shorter than the pencil (zero-padded)
     n0_row = st.integers(0, m).flatmap(lambda w: st.lists(entry, min_size=w, max_size=w))
     N0 = draw(st.lists(st.one_of(n0_row, st.just([0] * m)), min_size=1, max_size=3))
-    return L0, L1, draw(st.integers(1, 12)), N0, draw(st.integers(1, 12))
+    # a common factor c: N_0 / D_0 need not be in lowest terms
+    c = draw(st.integers(1, 6))
+    N0 = [[c * x for x in row] for row in N0]
+    return L0, L1, draw(st.integers(1, 12)), N0, c * draw(st.integers(1, 12))
 
 
 @settings(max_examples=120, deadline=None)
+# not triangular: the product of the diagonal, 0 at no step, is not det
+@example(([[1, 2], [1, -1]], [[2, 1], [1, 2]], 2, [[1, 0]], 1), 6)
 @given(_pencils(), st.integers(0, 10))
 def test_pencil_steps_matches_fraction_product(pencil, k):
     # N_n/D_n = (N_0/D_0) prod_{i<n} (L0 - i L1) / (n! tau^n), in lowest terms
@@ -155,8 +167,8 @@ def test_certify_scalar_sweep_matches_factored_bound(lam, k_max, r):
 
 
 def test_certify_scalar_sweep_does_not_factor_b():
-    # b = (10^15 + 37)(10^15 + 91) is past the Miller-Rabin range, where
-    # is_prime falls back to trial division up to 10^15
+    # b = (10^15 + 37)(10^15 + 91): Pollard-Brent rho needs about 10^7.5
+    # steps to split it, so factoring b would stall
     lam = Fraction(1, 1000000000000128000000000003367)
     start = time.perf_counter()
     assert falling.certify_scalar_sweep(lam, 5) == [True] * 5

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -321,6 +321,46 @@ def test_delta_steps_matches_fraction_table(A, q):
     for (N, D), M in zip(steps, ref):
         assert D == M.entry_denominator()
         assert MatQ([[F(x, D) for x in row] for row in N]) == M
+
+
+# repeated eigenvalues and Jordan blocks: several chains per eigenvalue
+_pooled_jordan_data = st.lists(
+    st.tuples(st.sampled_from([F(0), F(1, 2), F(-2, 3), F(3)]), st.integers(1, 3)),
+    min_size=1,
+    max_size=4,
+).filter(lambda blocks: sum(h for _, h in blocks) <= 4)
+
+
+def _upper(M):
+    return all(M[i][j] == 0 for i in range(len(M)) for j in range(i))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_pooled_jordan_data, st.integers(0, 50))
+def test_flag_form_is_unimodular_upper_triangular(blocks, seed):
+    A = catalog.from_jordan_data(blocks, seed)
+    data = spectral(A)
+    q, B = matfun._integer_form(A)
+    T = [[x.numerator for x in row] for row in data.jordan_T.rows]
+    V, C = matfun._flag_form(B, T)
+    assert MatQ(V).inverse().entry_denominator() == 1  # V^-1 is integral
+    assert _upper(matfun._mat_mul(V, T))
+    assert matfun._mat_mul(C, V) == matfun._mat_mul(V, B)  # C = V B V^-1
+    assert _upper(C)
+    diag = [q * lam for lam, sizes in zip(data.eigenvalues, data.block_sizes) for _ in range(sum(sizes))]
+    assert [C[i][i] for i in range(len(C))] == diag
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jordan_data, st.integers(0, 50), st.integers(1, 30))
+def test_certify_matrix_psi_matches_unconjugated_delta_steps(blocks, seed, k):
+    # reference: the delta_steps route on q A itself, without the flag basis
+    A = catalog.from_jordan_data(blocks, seed)
+    q, B = matfun._integer_form(A)
+    want = 1
+    for _, D in falling.delta_steps(B, q, k):
+        want = lcm(want, D)
+    assert matfun.certify_matrix(A, k).psi_k == want
 
 
 @pytest.mark.parametrize("i", range(len(catalog.matrix_catalog())))
