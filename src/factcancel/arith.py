@@ -12,7 +12,8 @@ certificate.growth_constant and hyper.theorem6's C0 with.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import compress
+from math import gcd, isqrt, lcm, prod
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import NotPrime
@@ -29,6 +30,9 @@ Rat = Fraction
 #: first 12 only below psi_12 = 3.2e23
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+#: the carry count of a state no split of k reaches
+_UNREACHABLE = float("-inf")
 
 
 def parse_rat(text) -> Fraction:
@@ -195,23 +199,28 @@ def prime_factors(b: int) -> list[int]:
     return sorted(set(out))
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n via a sieve."""
+def _sieve(n: int) -> bytearray:
+    """Eratosthenes' flags: flags[i] is 1 exactly when i is prime, for
+    0 <= i <= n (empty for n < 0)."""
     if n < 2:
-        return []
+        return bytearray(max(n + 1, 0))
     flags = bytearray([1]) * (n + 1)
-    flags[0:2] = b"\x00\x00"
-    p = 2
-    while p * p <= n:
+    flags[0] = flags[1] = 0
+    for p in range(2, isqrt(n) + 1):
         if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(range(p * p, n + 1, p))
-        p += 1
-    return [i for i in range(2, n + 1) if flags[i]]
+            flags[p * p :: p] = bytes((n - p * p) // p + 1)
+    return flags
+
+
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n, read off the sieve by itertools.compress."""
+    return list(compress(range(n + 1), _sieve(n)))
 
 
 def prime_pi(n: int) -> int:
-    """pi(n), the number of primes <= n."""
-    return len(primes_upto(n))
+    """pi(n), the number of primes <= n: the sieve's flags counted, no list
+    built."""
+    return _sieve(n).count(1)
 
 
 def common_denominator(xs: Iterable[Fraction]) -> int:
@@ -276,53 +285,68 @@ def g_k_exponent(p: int, k: int) -> int:
     v_p(k!/(k0! k1! k2!)) = tau_p(k) - tau_p(k0) - tau_p(k1) - tau_p(k2).
 
     By Kummer's theorem that valuation is the sum of the base-p carries of
-    the addition k0 + k1 + k2, each carry c in {0, 1, 2}.
-
-    Closed form for p^2 > k: k = a p + d has two base-p digits, so only the
-    carry c out of the units is possible.  The units digits sum to d + p c
-    <= 3(p - 1), so c = 2 needs d <= p - 3 (c = 1 always fits), and the
-    tens digits sum to a - c >= 0; the exponent is min(a, 2 if d <= p - 3
-    else 1).
-
-    For p^2 <= k a digit DP takes the most carries over all splits: at a
-    digit d of k, carry c goes to c' when the digit sum d + p c' - c lies in
-    [0, 3(p-1)], and the final carry must be 0.  Cost O(log_p k), with no
-    table and no cache.
+    the addition k0 + k1 + k2, each carry c in {0, 1, 2}; _most_carries
+    takes the most of them in O(log_p k), with no table and no cache.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _g_k_exponent(p, k)
+    return _most_carries(p, k)
 
 
-def _g_k_exponent(p: int, k: int) -> int:
-    """g_k_exponent for a prime p and k >= 0, neither checked."""
-    if p * p > k:
-        a, d = divmod(k, p)
-        return min(a, 2 if d <= p - 3 else 1)
-    top = 3 * (p - 1)
-    best = [0, -1, -1]  # best[c]: most carries so far with carry c; -1 unreachable
+def _most_carries(p: int, k: int) -> int:
+    """The most base-p carries over all splits k0 + k1 + k2 = k >= 0, for a
+    prime p, read digit by digit from the units up.
+
+    e0, e1, e2 are the most carries so far with carry 0, 1, 2 out of the
+    digits read (-inf: unreachable); the last carry out must be 0.  At a
+    digit d with carry c in, the three digits sum to d + p c' - c for carry
+    c' out, which must lie in [0, 3(p - 1)]: carry 0 out needs d >= c, carry
+    1 out always fits, and carry 2 out needs d <= p - 3 + c.  The units take
+    carry 0 in; after them e0 < e1, since carry 1 out extends the best state.
+    So with top = max(e1, e2) a step takes carry 0 out from e0, e1 or top
+    for d = 0, 1 or more, carry 1 out from top, and carry 2 out from top
+    unless d = p - 1, where only e2 fits.
+    """
+    k, d = divmod(k, p)
+    e0, e1, e2 = 0, 1, 2 if d <= p - 3 else _UNREACHABLE
     while k:
         k, d = divmod(k, p)
-        nxt = [-1, -1, -1]
-        for c, e in enumerate(best):
-            if e < 0:
-                continue
-            for c2 in range(3):
-                if 0 <= d + p * c2 - c <= top and e + c2 > nxt[c2]:
-                    nxt[c2] = e + c2
-        best = nxt
-    return best[0]
+        top = e1 if e1 > e2 else e2
+        e0, e1, e2 = (
+            e0 if d == 0 else e1 if d == 1 else top,
+            top + 1,
+            top + 2 if d < p - 1 else e2 + 2,
+        )
+    return e0
 
 
 def g_k(k: int) -> int:
     """lcm of the trinomial coefficients k!/(k0! k1! k2!), k0+k1+k2 = k.
-    The sieved primes go straight to the exponent, untested again."""
-    out = 1
-    for p in primes_upto(k):
-        out *= p ** _g_k_exponent(p, k)
-    return out
+
+    The primes p <= sqrt(k) go through the carry DP one by one.  The primes
+    above sqrt(k) take one product:
+
+        prod_{sqrt(k) < p <= k} p  *  M / gcd(M, (k+1)(k+2)),
+        M = prod_{sqrt(k) < p <= k/2} p.
+
+    Proof: for p^2 > k, k = a p + d has two base-p digits, so only the
+    carry c out of the units counts; the units digits sum to d + p c <=
+    3(p - 1), so c = 2 needs d <= p - 3, and the tens digits sum to
+    a - c >= 0: the exponent is min(a, 2 if d <= p - 3 else 1).  That is 1
+    when p > k/2, where a = 1; when p <= k/2, a >= 2 and it is 2 unless d
+    is p - 1 or p - 2, that is unless p divides (k+1)(k+2), and
+    M / gcd(M, (k+1)(k+2)) is the product of the primes of M that do not.
+    """
+    if k < 2:
+        return 1
+    flags = _sieve(k)
+    r, h = isqrt(k), k // 2
+    out = prod(p ** _most_carries(p, k) for p in compress(range(r + 1), flags))
+    above = prod(compress(range(r + 1, k + 1), flags[r + 1 :]))
+    mid = prod(compress(range(r + 1, h + 1), flags[r + 1 : h + 1]))
+    return out * above * (mid // gcd(mid, (k + 1) * (k + 2)))
 
 
 def g_k_by_enumeration(k: int) -> int:

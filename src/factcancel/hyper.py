@@ -316,7 +316,7 @@ class Lemma11Certificate:
 
 
 def certify_lemma11(params: HyperParams, k: int) -> Lemma11Certificate:
-    from .fuchs import FuchsianSystem, _content, _scaled_qn, certify_system
+    from .fuchs import FuchsianSystem, _content, _scaled_qn
 
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -336,11 +336,13 @@ def certify_lemma11(params: HyperParams, k: int) -> Lemma11Certificate:
     target *= arith.g_k(k) * a
     const = growth_constant(1, b, 3 if gamma_zero else 2)
     inner = make_certificate(k, psi_inner, target, const)
-    system = adjoint_fuchsian(params)
-    measured = certify_system(system, k)
+    # the outer psi is certify_system's psi_k on the adjoint system (A1 at 0,
+    # A2 at 1), measured without the system bound that certify_system builds
+    adjoint = FuchsianSystem(params.m, (0, 1), (forms.A1, forms.A2))
+    psi_outer = lcm(*(D for _, D in _scaled_qn(adjoint, k)))
     t1 = forms.T.entry_denominator()
     t2 = forms.T_inv.entry_denominator()
-    outer = make_certificate(k, measured.psi_k, t1 * t2 * target, const)
+    outer = make_certificate(k, psi_outer, t1 * t2 * target, const)
     return Lemma11Certificate(
         inner=inner, outer=outer, gamma_zero=gamma_zero, a=a, b=b, t1=t1, t2=t2
     )

@@ -106,6 +106,13 @@ def test_primes_upto_and_pi():
     assert arith.primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert arith.prime_pi(100) == 25
     assert arith.prime_pi(1) == 0
+    # every n from -1 up, the edges n <= 3 of the sieve included
+    primes = []
+    for n in range(-1, 3001):
+        if arith.is_prime(n):
+            primes.append(n)
+        assert arith.primes_upto(n) == primes, n
+        assert arith.prime_pi(n) == len(primes), n
 
 
 def test_prime_factors():
@@ -198,12 +205,22 @@ def test_g_k_matches_enumeration(k):
     assert arith.g_k(k) == arith.g_k_by_enumeration(k)
 
 
+def test_g_k_is_the_product_of_its_prime_powers():
+    # the per-prime exponents against g_k's one product over the primes
+    # above sqrt(k), far past the enumeration oracle's reach
+    for k in range(2001):
+        want = math.prod(p ** arith.g_k_exponent(p, k) for p in arith.primes_upto(k))
+        assert arith.g_k(k) == want, k
+
+
 def test_g_k_exponent_matches_brute_force():
     # max of tau_p(k) - tau_p(k0) - tau_p(k1) - tau_p(k2) over k0 + k1 + k2 = k;
-    # every prime above 8 meets k <= 80 only in the closed form for p^2 > k
+    # every prime above 8 meets k <= 80 only in the closed form for p^2 > k,
+    # so the carry-DP primes p <= 11 run on to k = 150, the sweep's range
     for p in arith.primes_upto(80):
-        tau = [arith.tau_p(p, n) for n in range(81)]
-        for k in range(p, 81):
+        k_max = 150 if p <= 11 else 80
+        tau = [arith.tau_p(p, n) for n in range(k_max + 1)]
+        for k in range(p, k_max + 1):
             brute = max(
                 tau[k] - tau[k0] - tau[k1] - tau[k - k0 - k1]
                 for k0 in range(k + 1)
