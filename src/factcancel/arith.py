@@ -27,9 +27,11 @@ Rat = Fraction
 
 #: the first 13 primes: as Miller-Rabin witnesses they are deterministic
 #: below psi_13 = 3.3e24 (Sorenson and Webster, Math. Comp. 86, 2017); the
-#: first 12 only below psi_12 = 3.2e23
+#: first 12 only below psi_12 = 3.2e23, the first 7 below psi_7 = 3.4e14
+#: (Jaeschke, Math. Comp. 61, 1993)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR7_LIMIT = 341_550_071_728_321
 
 #: the carry count of a state no split of k reaches
 _UNREACHABLE = float("-inf")
@@ -121,17 +123,20 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality: Miller-Rabin with the witnesses _MR_BASES, deterministic
-    below _MR_LIMIT = 3.3e24; above it, BPSW, a strong base-2 test and a
-    strong Lucas test (Baillie and Wagstaff, Math. Comp. 35, 1980), which
-    has no known counterexample and none below 2^64."""
+    """Primality: trial division by _MR_BASES, which settles n < 43^2, then
+    Miller-Rabin with their first seven witnesses below _MR7_LIMIT = 3.4e14
+    and all of them below _MR_LIMIT = 3.3e24; above it, BPSW, a strong
+    base-2 test and a strong Lucas test (Baillie and Wagstaff, Math. Comp.
+    35, 1980), which has no known counterexample and none below 2^64."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        return True
     if n < _MR_LIMIT:
-        return all(_strong_prp(n, a) for a in _MR_BASES)
+        return all(_strong_prp(n, a) for a in _MR_BASES[: 7 if n < _MR7_LIMIT else None])
     return _strong_prp(n, 2) and isqrt(n) ** 2 != n and _strong_lucas_prp(n)
 
 

@@ -1,4 +1,6 @@
-"""The per-k exact certificate, and its bound and constant, shared by all families."""
+"""The per-k exact certificate, and the one pass that assembles it for every
+family from a spec: a stream of denominators D_n, b, the bound's base and
+d_k exponent, a scale and the constant's shift."""
 
 from __future__ import annotations
 
@@ -6,7 +8,7 @@ import decimal
 import json
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import arith
 
@@ -130,3 +132,26 @@ def bound_steps(b: int, k_max: int, base: int = 1, d_exp: int = 0) -> Iterator[i
             n //= g
             g = gcd(n, g)
         yield out
+
+
+def certificate_steps(
+    dens: Iterable[int], b: int, k_max: int, base: int = 1, d_exp: int = 0
+) -> Iterator[tuple[int, int]]:
+    """(psi_k, bound_k) for k = 1..k_max: psi_k is the running lcm of the
+    denominators dens yields for n = 0..k, bound_k the bound_steps value."""
+    dens = iter(dens)
+    psi = next(dens)
+    for bound, D in zip(bound_steps(b, k_max, base, d_exp), dens):
+        psi = lcm(psi, D)
+        yield psi, bound
+
+
+def certify(
+    k: int, dens: Iterable[int], b: int, base=1, d_exp=0, scale=1, shift=0
+) -> CancellationCertificate:
+    """The certificate at k >= 1: psi_k against scale bound_k, with the
+    constant growth_constant(base, b, shift), whose scale is always the
+    bound's per-k base."""
+    for psi, bound in certificate_steps(dens, b, k, base, d_exp):
+        pass
+    return make_certificate(k, psi, scale * bound, growth_constant(base, b, shift))

@@ -15,7 +15,7 @@ from itertools import product
 from math import comb, factorial, lcm
 
 from . import arith, falling
-from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
+from .certificate import CancellationCertificate, certify
 from .errors import NotPrime, RepeatedRootMinPoly
 from .matfun import MatQ, _compositions, _flag_basis, matrix_delta, spectral
 from .poly import MultiPoly
@@ -295,14 +295,7 @@ def certify_constcoef(
     data = spectral(A)
     if data.r_max > 1:
         raise RepeatedRootMinPoly("minimal polynomial has a repeated root")
-    b = data.b
-    t1t2 = data.t1 * data.t2
-    psi = 1
     q, qA = _flag_basis(A, data)
-    for S in _induced_matrices(qA, degree_cap):
-        for _, D in falling.delta_steps(S, q, k):
-            psi = lcm(psi, D)
-    for bound in bound_steps(b, k, base=t1t2):
-        pass
-    const = growth_constant(t1t2, b, 0)
-    return make_certificate(k, psi, bound, const)
+    degrees = [falling.delta_steps(S, q, k) for S in _induced_matrices(qA, degree_cap)]
+    dens = (lcm(*(D for _, D in steps)) for steps in zip(*degrees))
+    return certify(k, dens, data.b, base=data.t1 * data.t2)

@@ -14,6 +14,8 @@ constant case (L0, L1, tau) = (A, q E, q), used by the matrix and
 constant-coefficient certificates.  The scalar certificates run the pencil
 of q J_r(lambda) on one row: Delta_n(J_r) is upper-triangular Toeplitz, so
 row 0 holds every entry.  fuchs._scaled_qn builds the polynomial pencil.
+certify_scalar and certify_scalar_sweep hand that pencil's D_n stream to
+the one certificate pass, certificate.certify and certificate_steps.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterator
 
-from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
+from .certificate import CancellationCertificate, certificate_steps, certify
 
 
 def falling(lam: Fraction, n: int) -> Fraction:
@@ -157,34 +159,20 @@ def delta_derivatives_via_shift(lam: Fraction, n: int, r: int) -> list[Fraction]
 def psi_scalar(lam: Fraction, k: int, r: int = 1) -> int:
     """Measured lcm of the denominators of Delta_n^{(j)}(lam)/j!,
     j < r, n <= k, from one pencil pass over row 0 of J_r(lam)."""
-    out = 1
-    for _, D in _jordan_steps(lam, k, r):
-        out = lcm(out, D)
-    return out
+    return lcm(*(D for _, D in _jordan_steps(lam, k, r)))
 
 
 def certify_scalar(lam: Fraction, k: int, r: int = 1) -> CancellationCertificate:
     """Exact certificate: psi_k | b^k d_k^{r-1} prod p^{tau_p(k)}."""
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
-    b = lam.denominator
-    psi = psi_scalar(lam, k, r)
-    for bound in bound_steps(b, k, d_exp=r - 1):
-        pass
-    const = growth_constant(1, b, r - 1)
-    return make_certificate(k, psi, bound, const)
+    dens = (D for _, D in _jordan_steps(lam, k, r))
+    return certify(k, dens, lam.denominator, d_exp=r - 1, shift=r - 1)
 
 
 def certify_scalar_sweep(lam: Fraction, k_max: int, r: int = 1) -> list[bool]:
-    """Divisibility verdicts for every k = 1..k_max.
-
-    psi_k grows by the denominator of Delta_k(J_r(lam)), and bound_steps
-    grows the bound alongside, so one pass serves every k.
-    """
-    steps = _jordan_steps(lam, k_max, r)
-    _, psi = next(steps)  # Delta_0 = I, so psi starts at 1
-    verdicts = []
-    for (_, D), bound in zip(steps, bound_steps(lam.denominator, k_max, d_exp=r - 1)):
-        psi = lcm(psi, D)
-        verdicts.append(bound % psi == 0)
-    return verdicts
+    """Divisibility verdicts for every k = 1..k_max, from the same one pass
+    as certify_scalar."""
+    dens = (D for _, D in _jordan_steps(lam, k_max, r))
+    steps = certificate_steps(dens, lam.denominator, k_max, d_exp=r - 1)
+    return [bound % psi == 0 for psi, bound in steps]

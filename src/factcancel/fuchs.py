@@ -18,7 +18,7 @@ from math import comb, factorial, gcd, lcm, prod
 from typing import Iterator
 
 from . import arith, falling
-from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
+from .certificate import CancellationCertificate, certify, make_certificate
 from .errors import DimensionMismatch, IrrationalSpectrum, NotCommuting, SingularT
 from .matfun import (
     MatQ,
@@ -411,30 +411,23 @@ def certify_system(system: FuchsianSystem, k: int) -> CancellationCertificate:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    psi = 1
-    for _, D in _scaled_qn(system, k):
-        psi = lcm(psi, D)
-
-    bound = None
-    const = None
+    dens = (D for _, D in _scaled_qn(system, k))
+    datas = None
     if commuting_check(list(system.residues)):
         try:
             datas = [spectral(A) for A in system.residues]
         except IrrationalSpectrum:
-            datas = None
-        if datas is not None:
-            b = lcm(*(data.b for data in datas))
-            q = prod(g.denominator for g in system.gammas)
-            r_max = max(data.r_max for data in datas)
-            if all(data.r_max == 1 for data in datas):
-                T_sim = simultaneous_eigenbasis(list(system.residues))
-                t = T_sim.entry_denominator() * T_sim.inverse().entry_denominator()
-                d_exp = 0
-            else:
-                t = prod(data.t1 * data.t2 for data in datas)
-                d_exp = sum(data.r_max - 1 for data in datas)
-            for bound in bound_steps(b, k, base=q, d_exp=d_exp):
-                pass
-            bound *= t
-            const = growth_constant(q, b, r_max - 1)
-    return make_certificate(k, psi, bound, const)
+            pass
+    if datas is None:
+        return make_certificate(k, lcm(*dens), None)
+    b = lcm(*(data.b for data in datas))
+    q = prod(g.denominator for g in system.gammas)
+    r_max = max(data.r_max for data in datas)
+    if r_max == 1:
+        T_sim = simultaneous_eigenbasis(list(system.residues))
+        t = T_sim.entry_denominator() * T_sim.inverse().entry_denominator()
+        d_exp = 0
+    else:
+        t = prod(data.t1 * data.t2 for data in datas)
+        d_exp = sum(data.r_max - 1 for data in datas)
+    return certify(k, dens, b, base=q, d_exp=d_exp, scale=t, shift=r_max - 1)

@@ -25,7 +25,7 @@ from math import comb, factorial, gcd, lcm, prod
 from typing import Optional
 
 from . import arith, falling
-from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
+from .certificate import CancellationCertificate, certify, make_certificate
 from .errors import (
     ConditionsFailed,
     EpsilonOutOfRange,
@@ -326,23 +326,20 @@ def certify_lemma11(params: HyperParams, k: int) -> Lemma11Certificate:
     a = arith.common_denominator(forms.a)
     b = arith.common_denominator((g,) + params.beta)
     brackets = FuchsianSystem(params.m, (0, 1), (forms.B1.transpose(), forms.B2.transpose()))
-    psi_inner = 1
-    for N, D in _scaled_qn(brackets, k):
-        psi_inner = lcm(
-            psi_inner, D if gamma_zero else (g * Fraction(_content(N), D)).denominator
-        )
-    for target in bound_steps(b, k, d_exp=int(gamma_zero)):
-        pass
-    target *= arith.g_k(k) * a
-    const = growth_constant(1, b, 3 if gamma_zero else 2)
-    inner = make_certificate(k, psi_inner, target, const)
+    dens = (
+        D if gamma_zero else (g * Fraction(_content(N), D)).denominator
+        for N, D in _scaled_qn(brackets, k)
+    )
+    inner = certify(
+        k, dens, b, d_exp=int(gamma_zero), scale=arith.g_k(k) * a, shift=3 if gamma_zero else 2
+    )
     # the outer psi is certify_system's psi_k on the adjoint system (A1 at 0,
     # A2 at 1), measured without the system bound that certify_system builds
     adjoint = FuchsianSystem(params.m, (0, 1), (forms.A1, forms.A2))
     psi_outer = lcm(*(D for _, D in _scaled_qn(adjoint, k)))
     t1 = forms.T.entry_denominator()
     t2 = forms.T_inv.entry_denominator()
-    outer = make_certificate(k, psi_outer, t1 * t2 * target, const)
+    outer = make_certificate(k, psi_outer, t1 * t2 * inner.bound_k, inner.asymptotic_constant)
     return Lemma11Certificate(
         inner=inner, outer=outer, gamma_zero=gamma_zero, a=a, b=b, t1=t1, t2=t2
     )

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from . import arith, falling
-from .certificate import CancellationCertificate, bound_steps, growth_constant, make_certificate
+from .certificate import CancellationCertificate, certify
 from .errors import (
     DimensionMismatch,
     IrrationalSpectrum,
@@ -708,14 +708,9 @@ def certify_matrix(A: MatQ, k: int) -> CancellationCertificate:
         raise ValueError("k must be >= 1")
     data = spectral(A)
     q, B = _flag_basis(A, data)
-    psi = 1
-    for _, D in falling.delta_steps(B, q, k):
-        psi = lcm(psi, D)
-    for bound in bound_steps(data.b, k, d_exp=data.r_max - 1):
-        pass
-    bound *= data.t1 * data.t2
-    const = growth_constant(1, data.b, data.r_max - 1)
-    return make_certificate(k, psi, bound, const)
+    dens = (D for _, D in falling.delta_steps(B, q, k))
+    shift = data.r_max - 1
+    return certify(k, dens, data.b, d_exp=shift, scale=data.t1 * data.t2, shift=shift)
 
 
 # ---------------------------------------------------------------------------

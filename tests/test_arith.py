@@ -28,6 +28,10 @@ def test_is_prime_small():
     assert not arith.is_prime(1)
     assert not arith.is_prime(0)
     assert arith.is_prime(2**31 - 1)
+    # trial division by the primes <= 41 settles every n < 43^2 = 1849
+    assert arith.is_prime(1847) and not arith.is_prime(1849)
+    flags = arith._sieve(10**5)
+    assert all(arith.is_prime(n) == bool(flags[n]) for n in range(10**5 + 1))
 
 
 # psi_12 = 3.2e23: the least strong pseudoprime to the twelve prime bases
@@ -42,6 +46,21 @@ def test_is_prime_needs_base_41_below_mr_limit():
     assert arith.prime_factors(_PSI_12) == [399165290221, 798330580441]
     with pytest.raises(NotPrime):
         arith.g_k_exponent(_PSI_12, 10)
+
+
+# psi_7 = 3.4e14 and psi_6 = 3.5e12 (Jaeschke, Math. Comp. 61, 1993): the
+# least strong pseudoprimes to the first seven and the first six prime bases
+_PSI_7 = 341_550_071_728_321
+_PSI_6 = 3_474_749_660_383
+
+
+def test_is_prime_at_the_seven_base_limit():
+    assert _PSI_7 == arith._MR7_LIMIT
+    assert all(arith._strong_prp(_PSI_7, a) for a in arith._MR_BASES[:7])
+    assert not arith.is_prime(_PSI_7)
+    assert all(arith._strong_prp(_PSI_6, a) for a in arith._MR_BASES[:6])
+    assert not arith._strong_prp(_PSI_6, 17)
+    assert not arith.is_prime(_PSI_6)
 
 
 @pytest.mark.parametrize("n", [2**89 - 1, 2**107 - 1, 2**127 - 1, 10**30 + 57])

@@ -10,6 +10,8 @@ from factcancel import arith
 from factcancel.certificate import (
     CancellationCertificate,
     bound_steps,
+    certificate_steps,
+    certify,
     growth_constant,
     make_certificate,
 )
@@ -86,3 +88,23 @@ def test_bound_steps_does_not_factor_b():
     *_, last = bound_steps(b * 2**3 * 7, 60, d_exp=1)
     assert last == (b * 2**3 * 7) ** 60 * arith.lcm_upto(60) * 2**56 * 7**9
     assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    b=st.integers(1, 10**4),
+    base=st.integers(1, 50),
+    d_exp=st.integers(0, 3),
+    k=st.integers(1, 40),
+    scale=st.integers(1, 10**4),
+    shift=st.integers(0, 3),
+)
+def test_one_pass_is_running_lcm_against_bound_steps(data, b, base, d_exp, k, scale, shift):
+    dens = data.draw(st.lists(st.integers(1, 10**6), min_size=k + 1, max_size=k + 6))
+    bounds = list(bound_steps(b, k, base, d_exp))
+    steps = list(certificate_steps(dens, b, k, base, d_exp))
+    assert steps == [(math.lcm(*dens[: n + 1]), bounds[n - 1]) for n in range(1, k + 1)]
+    psi, bound = steps[-1]
+    want = make_certificate(k, psi, scale * bound, growth_constant(base, b, shift))
+    assert certify(k, iter(dens), b, base, d_exp, scale, shift) == want
