@@ -393,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", action="append")
         p.add_argument("--file")
         if name in ("series", "system"):
-            _size(p, "--N", 0, 2000, default=20)
+            # system checks the coefficients through z^(N-1): N = 0 checks none
+            _size(p, "--N", 1 if name == "system" else 0, 2000, default=20)
         if name == "lemma11":
             _size(p, "--k", 1, 300, default=20)
         if name == "theorem6":

@@ -9,10 +9,6 @@ class NotPrime(FactCancelError):
     """A number that was required to be prime is not."""
 
 
-class DivideByZeroSeries(FactCancelError):
-    """Division by a power series with vanishing constant term."""
-
-
 class IrrationalSpectrum(FactCancelError):
     """The characteristic polynomial has a non-rational factor."""
 

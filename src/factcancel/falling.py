@@ -8,12 +8,13 @@ b^k d_k^{r-1} prod_{p|b} p^{tau_p(k)} with b = den(lambda).
 
 pencil_steps is the one fraction-free recurrence behind every psi_k: it
 carries N_n / D_n = (N_0 / D_0) prod_{i<n} (L0 - i L1) / (n! tau^n) for an
-integer pencil given as rows of nonzero entries, scattering only nonzero
-entries of N_n.  delta_steps, the Delta_n table of an integer matrix, is its
-constant case (L0, L1, tau) = (A, q E, q), used by the matrix and
-constant-coefficient certificates.  The scalar certificates run the pencil
-of q J_r(lambda) on one row: Delta_n(J_r) is upper-triangular Toeplitz, so
-row 0 holds every entry.  fuchs._scaled_qn builds the polynomial pencil.
+integer pencil given as rows of nonzero entries, scattering each nonzero
+entry of N_n straight from its pencil row.  delta_steps, the Delta_n table
+of an integer matrix, is its constant case (L0, L1, tau) = (A, q E, q),
+used by the matrix and constant-coefficient certificates.  The scalar
+certificates run the pencil of q J_r(lambda) on one row: Delta_n(J_r) is
+upper-triangular Toeplitz, so row 0 holds every entry.  fuchs._scaled_qn
+builds the polynomial pencil.
 certify_scalar and certify_scalar_sweep hand that pencil's D_n stream to
 the one certificate pass, certificate.certify and certificate_steps.
 """
@@ -63,9 +64,10 @@ def pencil_steps(
     for the integer pencil L0 - s L1, integer row vectors N_0 and tau >= 1.
 
     rows[i] lists the nonzero triples (j, L0[i][j], L1[i][j]) of pencil row
-    i; rows of N_0 are zero-padded to len(rows).  Step n forms row i's
-    coefficients (j, L0[i][j] - (n-1) L1[i][j]) once, at the first nonzero
-    x = N[r][i], and scatters each such x as N[r][j] += x c; then
+    i; rows of N_0 are zero-padded to len(rows).  Step n scatters each
+    nonzero x = N[r][i] straight from pencil row i, as
+    N[r][j] += x (L0[i][j] - (n-1) L1[i][j]) (a table of each row's
+    coefficients, formed once per step, costs more than it saves); then
     D <- D n tau, and both are divided by g = gcd(D, content(N)) (the
     common-denominator idea of Bareiss' fraction-free elimination), so D_n
     is exactly the lcm of the entry denominators of N_n / D_n.  k steps cost
@@ -88,16 +90,12 @@ def pencil_steps(
     yield N, D
     for n in range(1, k + 1):
         s = n - 1
-        step = [None] * width
         scattered = [[0] * width for _ in N]
         for row, acc in zip(N, scattered):
-            for i, x in enumerate(row):
+            for x, pencil_row in zip(row, rows):
                 if x:
-                    coeffs = step[i]
-                    if coeffs is None:
-                        coeffs = step[i] = [(j, a - s * b) for j, a, b in rows[i]]
-                    for j, c in coeffs:
-                        acc[j] += x * c
+                    for j, a, b in pencil_row:
+                        acc[j] += x * (a - s * b)
         N = scattered
         D *= n * tau
         bound = 0

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .errors import DivideByZeroSeries
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -346,18 +344,6 @@ class SeriesQ:
             if ci:
                 for j in range(n + 1 - i):
                     out[i + j] += ci * other[j]
-        return SeriesQ.from_list(out, n)
-
-    def __truediv__(self, other: "SeriesQ") -> "SeriesQ":
-        if other[0] == 0:
-            raise DivideByZeroSeries("series division by vanishing constant term")
-        n = min(self.order, other.order)
-        out = [_ZERO] * (n + 1)
-        for i in range(n + 1):
-            acc = self[i]
-            for j in range(1, i + 1):
-                acc -= other[j] * out[i - j]
-            out[i] = acc / other[0]
         return SeriesQ.from_list(out, n)
 
     def is_zero(self) -> bool:

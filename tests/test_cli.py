@@ -125,8 +125,10 @@ _THEOREM6 = ["hyper", "theorem6", "--alpha", "1/3", "--beta", "1/2", "--xi", "1/
         [*_THEOREM6, "--precision", "0"],
         [*_THEOREM6, "--precision=-3"],
         ["hyper", "series", "--alpha", "1/3", "--beta", "1/2", "--N=-2"],
+        # a residual through z^-1 checks no coefficient
+        ["hyper", "system", "--alpha", "1/3", "--beta", "1/2", "--N", "0"],
     ],
-    ids=["zero-denominator", "precision-zero", "precision-negative", "negative-N"],
+    ids=["zero-denominator", "precision-zero", "precision-negative", "negative-N", "system-N-zero"],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = main(argv)

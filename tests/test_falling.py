@@ -71,6 +71,10 @@ def _pencils(draw):
 @settings(max_examples=120, deadline=None)
 # not triangular: the product of the diagonal, 0 at no step, is not det
 @example(([[1, 2], [1, -1]], [[2, 1], [1, 2]], 2, [[1, 0]], 1), 6)
+# two N_0 rows nonzero in the same slots, and an off-diagonal L1 entry (the
+# t' v term of a Fuchsian pencil): each row scatters from the same pencil row
+@example(([[3, 2, 0], [0, 1, 5], [0, 0, 2]], [[1, 4, 0], [0, 1, 1], [0, 0, 1]], 3,
+          [[2, 1, 0], [6, -1, 4]], 2), 8)
 @given(_pencils(), st.integers(0, 10))
 def test_pencil_steps_matches_fraction_product(pencil, k):
     # N_n/D_n = (N_0/D_0) prod_{i<n} (L0 - i L1) / (n! tau^n), in lowest terms

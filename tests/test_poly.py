@@ -1,10 +1,8 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factcancel.errors import DivideByZeroSeries
 from factcancel.poly import (
     MultiPoly,
     SeriesQ,
@@ -80,19 +78,6 @@ def test_multipoly_partial():
     p = MultiPoly.monomial(2, (2, 1))
     assert p.partial(0) == MultiPoly.monomial(2, (1, 1), 2)
     assert p.partial_multi((2, 1)) == MultiPoly.constant(2, 2)
-
-
-def test_series_mul_div_roundtrip():
-    f = SeriesQ.from_list([1, 2, 3, 4, 5], 4)
-    g = SeriesQ.from_list([1, -1, Fraction(1, 2), 0, 7], 4)
-    assert f * g / g == f
-
-
-def test_series_divide_by_zero_constant():
-    f = SeriesQ.from_list([1, 1], 1)
-    g = SeriesQ.from_list([0, 1], 1)
-    with pytest.raises(DivideByZeroSeries):
-        f / g
 
 
 def test_delta_series_is_euler_operator():
