@@ -121,9 +121,9 @@ def cmd_hyper(args) -> int:
     if args.hyper_cmd == "series":
         f = hyper.series(params, args.N)
         if args.json:
-            print(json.dumps([arith.format_rat(c) for c in f.coeffs]))
+            print(json.dumps([arith.format_rat(c) for c in f]))
         else:
-            for n, c in enumerate(f.coeffs):
+            for n, c in enumerate(f):
                 print(f"f_{n} = {arith.format_rat(c)}")
         return EXIT_OK
     if args.hyper_cmd == "system":

@@ -17,7 +17,7 @@ from math import comb, factorial, lcm
 from . import arith, falling
 from .certificate import CancellationCertificate, certify
 from .errors import NotPrime, RepeatedRootMinPoly
-from .matfun import MatQ, _compositions, _flag_basis, matrix_delta, spectral
+from .matfun import MatQ, _compositions, _flag_basis, matrix_delta_table, spectral
 from .poly import MultiPoly
 
 
@@ -210,15 +210,13 @@ def lemma17_rhs(A: MatQ, n: int) -> "LinearDiffOp":
     prod_i (1/s_i!) [Delta_i(A)]^{s_i}, powers as symbol products."""
     m = A.size
     out = LinearDiffOp.zero(m)
-    deltas = {}
+    deltas = [bracket_op(D) for D in matrix_delta_table(A, n)]
     for s in partitions_weighted(n):
         factors = []
         weight = Fraction(1)
         for i, si in enumerate(s, start=1):
             if si == 0:
                 continue
-            if i not in deltas:
-                deltas[i] = bracket_op(matrix_delta(A, i))
             factors.extend([deltas[i]] * si)
             weight /= factorial(si)
         out = out + formal_product(factors).scale(weight)

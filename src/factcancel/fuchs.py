@@ -247,11 +247,6 @@ def qn_recurrence(system: FuchsianSystem, n: int) -> PolyMat:
     return _polymat(N, D, factorial(n))
 
 
-def qn_table(system: FuchsianSystem, n_max: int) -> list[PolyMat]:
-    """[T^0 Q^[0], ..., T^{n_max} Q^[n_max]]."""
-    return [_polymat(N, D, factorial(n)) for n, (N, D) in enumerate(_scaled_qn(system, n_max))]
-
-
 def qn_via_brackets(system: FuchsianSystem, n: int) -> PolyMat:
     """T^n Q^[n] assembled from the bracket expansion of the derivatives:
     transpose of sum over |n| = n of <tA_1..tA_s>_n prod (z-gamma_i)^{n-n_i}."""

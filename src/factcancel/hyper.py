@@ -1,11 +1,12 @@
 """Generalized hypergeometric machinery.
 
-The series F(alpha; beta+1 | z), its first-order system at the poles 0 and 1
-(in augmented form), the adjoint system with its explicit eigen-structure,
-the trinomial-lcm denominator certificate for the adjoint system, the
-geometric-growth class constant Phi, Wronskian/trace checks, the four
-irreducibility conditions, and the irrationality decision with its explicit
-constants C0 and eta0.
+The series F(alpha; beta+1 | z) as its coefficient list, its first-order
+system at the poles 0 and 1 (in augmented form, checked against the series
+as a three-term identity on coefficients), the adjoint system with its
+explicit eigen-structure, the trinomial-lcm denominator certificate for the
+adjoint system, the geometric-growth class constant Phi, Wronskian/trace
+checks, the four irreducibility conditions, and the irrationality decision
+with its explicit constants C0 and eta0.
 
 ``fuchs`` and ``matfun`` are imported inside the functions that build a
 matrix system, so the series, conditions and theorem6 paths load neither.
@@ -33,7 +34,7 @@ from .errors import (
     RepeatedBeta,
     XiZero,
 )
-from .poly import SeriesQ, UniPoly, delta_series
+from .poly import UniPoly
 
 
 def _fr(x) -> Fraction:
@@ -95,8 +96,8 @@ class HyperParams:
         )
 
 
-def series(params: HyperParams, N: int) -> SeriesQ:
-    """Exact Taylor coefficients f_n, n <= N, of
+def series(params: HyperParams, N: int) -> list[Fraction]:
+    """The exact Taylor coefficients [f_0, ..., f_N] of
     sum <-a_1>_n...<-a_m>_n / (<-b_1-1>_n...<-b_m-1>_n) z^n."""
     coeffs = [Fraction(1)]
     cur = Fraction(1)
@@ -107,7 +108,7 @@ def series(params: HyperParams, N: int) -> SeriesQ:
         for b in params.beta:
             cur /= -b - n
         coeffs.append(cur)
-    return SeriesQ.from_list(coeffs, N)
+    return coeffs
 
 
 def vieta(params: HyperParams) -> tuple[list[Fraction], list[Fraction]]:
@@ -151,32 +152,30 @@ def build_system(params: HyperParams) -> FuchsianSystem:
 
 
 def system_residual(params: HyperParams, N: int) -> bool:
-    """True iff the augmented vector (1, f, delta f, ...) satisfies the
-    system exactly through the z^{N-1} coefficient."""
-    system = build_system(params)
-    f = series(params, N)
-    comps = [SeriesQ.from_list([1], N), f]
-    for _ in range(params.m - 1):
-        comps.append(delta_series(comps[-1]))
-    # z(z-1) Y' == (T Q) Y as series through order N-1
-    t_series = SeriesQ.from_list([0, -1, 1], N)  # z^2 - z
-    from .fuchs import _tq_poly
+    """True iff Y = (1, f, delta f, ..., delta^{m-1} f) satisfies the system
+    z(z-1) Y' = (Z0 (z-1) + Z1 z) Y of build_system exactly through the
+    z^{N-1} coefficient.
 
-    TQ = _tq_poly(system)
-    for l in range(params.m + 1):
-        dy = SeriesQ.from_list(
-            [n * comps[l][n] for n in range(1, N + 1)], N - 1
-        )
-        lhs = t_series.truncate(N - 1) * dy
-        rhs = SeriesQ.from_list([0], N - 1)
-        for j in range(params.m + 1):
-            p = TQ[l, j]
-            if p.is_zero():
-                continue
-            pser = SeriesQ.from_list(list(p.coeffs), N - 1)
-            rhs = rhs + pser * comps[j].truncate(N - 1)
-        if not (lhs - rhs).is_zero():
-            return False
+    The z^n coefficient of Y is y_n = (delta_{n0}, f_n, n f_n, ...,
+    n^{m-1} f_n), so the z^n coefficient of the system is the three-term
+    identity (n-1) y_{n-1} - n y_n = -Z0 y_n + (Z0 + Z1) y_{n-1}, y_{-1} = 0.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    Z0, Z1 = build_system(params).residues
+    # row l of the identity as its nonzero terms (j, Z0[l][j], (Z0 + Z1)[l][j])
+    rows = [
+        [(j, a, a + b) for j, (a, b) in enumerate(zip(r0, r1)) if a or b]
+        for r0, r1 in zip(Z0.rows, Z1.rows)
+    ]
+    prev = [0] * len(rows)
+    for n, fn in enumerate(series(params, N - 1)):
+        y = [int(n == 0)] + [n**i * fn for i in range(params.m)]
+        for l, row in enumerate(rows):
+            rhs = sum(s * prev[j] - a * y[j] for j, a, s in row)
+            if (n - 1) * prev[l] - n * y[l] != rhs:
+                return False
+        prev = y
     return True
 
 
@@ -335,8 +334,7 @@ def certify_lemma11(params: HyperParams, k: int) -> Lemma11Certificate:
     )
     # the outer psi is certify_system's psi_k on the adjoint system (A1 at 0,
     # A2 at 1), measured without the system bound that certify_system builds
-    adjoint = FuchsianSystem(params.m, (0, 1), (forms.A1, forms.A2))
-    psi_outer = lcm(*(D for _, D in _scaled_qn(adjoint, k)))
+    psi_outer = lcm(*(D for _, D in _scaled_qn(adjoint_fuchsian(params), k)))
     t1 = forms.T.entry_denominator()
     t2 = forms.T_inv.entry_denominator()
     outer = make_certificate(k, psi_outer, t1 * t2 * inner.bound_k, inner.asymptotic_constant)
@@ -429,7 +427,7 @@ def phi_empirical_check(params: HyperParams, k: int) -> bool:
     per-k product q1^k times, for each beta_j, the product of the numerators
     of beta_j + n over n = 1..k (the denominator of 1/prod(beta_j + n))."""
     f = series(params, k)
-    phi_k = arith.common_denominator(f.coeffs)
+    phi_k = arith.common_denominator(f)
     target = 1
     for al in params.alpha:
         target *= al.denominator**k

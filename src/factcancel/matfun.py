@@ -654,14 +654,6 @@ def matrix_falling(A: MatQ, n: int) -> MatQ:
     return out
 
 
-def matrix_delta(A: MatQ, n: int) -> MatQ:
-    """Delta_n(A) = <A>_n / n! by iterated exact multiplication."""
-    out = MatQ.identity(A.size)
-    for i in range(n):
-        out = (out @ A.shift(-i)).scale(Fraction(1, i + 1))
-    return out
-
-
 def matrix_delta_table(A: MatQ, k: int) -> list[MatQ]:
     """[Delta_0(A), ..., Delta_k(A)] computed incrementally in exact
     rationals; the reference that falling.delta_steps is tested against."""
@@ -685,8 +677,8 @@ def jordan_block_delta(lam: Fraction, size: int, n: int) -> MatQ:
 def conjugation_check(A: MatQ, T: MatQ, n: int) -> bool:
     """Exact check of Delta_n(T A T^{-1}) == T Delta_n(A) T^{-1}."""
     T_inv = T.inverse()
-    lhs = matrix_delta(T @ A @ T_inv, n)
-    rhs = T @ matrix_delta(A, n) @ T_inv
+    lhs = matrix_delta_table(T @ A @ T_inv, n)[n]
+    rhs = T @ matrix_delta_table(A, n)[n] @ T_inv
     return lhs == rhs
 
 

@@ -1,19 +1,15 @@
-"""Exact polynomial (univariate and multivariate) and power-series
-arithmetic over Q.
+"""Exact polynomial arithmetic over Q, univariate and multivariate.
 
 UniPoly is dense (degrees stay in the hundreds), MultiPoly is a sparse
-exponent-vector map, SeriesQ is a truncated Taylor expansion with exact
-rational coefficients.
+exponent-vector map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_frac(x) -> Fraction:
@@ -304,52 +300,3 @@ class MultiPoly:
         for c in self.terms.values():
             out = lcm(out, c.denominator)
         return out
-
-
-@dataclass(frozen=True)
-class SeriesQ:
-    """Truncated power series sum f_n z^n, n = 0..order, with exact
-    rational coefficients."""
-
-    order: int
-    coeffs: tuple
-
-    @staticmethod
-    def from_list(cs, order: int = None) -> "SeriesQ":
-        cs = [_as_frac(c) for c in cs]
-        if order is None:
-            order = len(cs) - 1
-        cs = (cs + [_ZERO] * (order + 1))[: order + 1]
-        return SeriesQ(order, tuple(cs))
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n] if 0 <= n <= self.order else _ZERO
-
-    def truncate(self, order: int) -> "SeriesQ":
-        return SeriesQ.from_list(list(self.coeffs), order)
-
-    def __add__(self, other: "SeriesQ") -> "SeriesQ":
-        n = min(self.order, other.order)
-        return SeriesQ.from_list([self[i] + other[i] for i in range(n + 1)], n)
-
-    def __sub__(self, other: "SeriesQ") -> "SeriesQ":
-        n = min(self.order, other.order)
-        return SeriesQ.from_list([self[i] - other[i] for i in range(n + 1)], n)
-
-    def __mul__(self, other: "SeriesQ") -> "SeriesQ":
-        n = min(self.order, other.order)
-        out = [_ZERO] * (n + 1)
-        for i in range(n + 1):
-            ci = self[i]
-            if ci:
-                for j in range(n + 1 - i):
-                    out[i + j] += ci * other[j]
-        return SeriesQ.from_list(out, n)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-
-def delta_series(f: SeriesQ) -> SeriesQ:
-    """The Euler operator z d/dz on a series: coefficient n picks up a factor n."""
-    return SeriesQ.from_list([n * c for n, c in enumerate(f.coeffs)], f.order)

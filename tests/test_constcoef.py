@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from factcancel import catalog, constcoef as cc, falling
 from factcancel.errors import NotPrime, RepeatedRootMinPoly
-from factcancel.matfun import MatQ, _compositions, _integer_form, matrix_delta
+from factcancel.matfun import MatQ, _compositions, _integer_form, matrix_delta_table
 from factcancel.poly import MultiPoly
 
 F = Fraction
@@ -120,7 +120,7 @@ def test_lemma17_small_forms():
     A = _rand_mat(2, 25)
     a = cc.bracket_op(A)
     assert cc.lemma17_rhs(A, 1) == a
-    want = cc.formal_product([a, a]).scale(F(1, 2)) + cc.bracket_op(matrix_delta(A, 2))
+    want = cc.formal_product([a, a]).scale(F(1, 2)) + cc.bracket_op(matrix_delta_table(A, 2)[2])
     assert cc.lemma17_rhs(A, 2) == want
 
 

@@ -17,7 +17,6 @@ from factcancel.fuchs import (
     operator_identity_16,
     operator_identity_24,
     qn_recurrence,
-    qn_table,
     qn_via_brackets,
     simultaneous_eigenbasis,
 )
@@ -118,13 +117,6 @@ def test_one_pole_is_the_constant_case(i):
 )
 def test_one_pole_is_the_constant_case_on_integer_matrices(B, q, n):
     _one_pole_matches_delta_steps(MatQ(B).scale(F(1, q)), n)
-
-
-def test_qn_table_consistent():
-    system = catalog.fuchsian_catalog()[1]
-    tab = qn_table(system, 5)
-    for n, M in enumerate(tab):
-        assert M == qn_recurrence(system, n)
 
 
 # operator identities

@@ -1,5 +1,6 @@
 import runpy
 import sys
+from dataclasses import replace
 from fractions import Fraction
 import random
 from math import factorial, lcm, prod
@@ -46,7 +47,7 @@ def test_series_geometric():
     # alpha = beta + 1 makes every coefficient 1
     p = HyperParams.of([F(3, 2)], [F(1, 2)])
     f = hyper.series(p, 10)
-    assert all(c == 1 for c in f.coeffs)
+    assert f == [1] * 11
 
 
 def test_vieta():
@@ -58,6 +59,29 @@ def test_vieta():
 @pytest.mark.parametrize("p", catalog.HYPER_CATALOG)
 def test_series_satisfies_system(p):
     assert hyper.system_residual(p, 25)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_system_residual_rejects_empty_range(N):
+    with pytest.raises(ValueError):
+        hyper.system_residual(catalog.HYPER_M1, N)
+
+
+def test_system_residual_rejects_a_perturbed_residue(monkeypatch):
+    # moving any one entry of either residue by 1/7 breaks the identity
+    p = catalog.HYPER_M2
+    system = hyper.build_system(p)
+    size = system.size
+    for pole in range(2):
+        for l in range(size):
+            for j in range(size):
+                rows = [list(r) for r in system.residues[pole].rows]
+                rows[l][j] += F(1, 7)
+                residues = list(system.residues)
+                residues[pole] = MatQ(rows)
+                bumped = replace(system, residues=tuple(residues))
+                monkeypatch.setattr(hyper, "build_system", lambda _: bumped)
+                assert not hyper.system_residual(p, 5)
 
 
 def test_build_system_m1_entries():

@@ -23,7 +23,6 @@ from factcancel.matfun import (
     commuting_check,
     conjugation_check,
     jordan_block_delta,
-    matrix_delta,
     matrix_delta_table,
     matrix_falling,
     min_poly,
@@ -270,7 +269,7 @@ def test_rational_roots_monic_matches_enumeration(roots, tail):
 def test_jordan_block_delta_toeplitz(size, n):
     lam = F(1, 3)
     J = MatQ.jordan_block(lam, size)
-    direct = matrix_delta(J, n)
+    direct = matrix_delta_table(J, n)[n]
     toeplitz = jordan_block_delta(lam, size, n)
     assert direct == toeplitz
     taylor = falling.delta_derivatives(lam, n, size)
@@ -293,14 +292,6 @@ def test_matrix_falling_scalar_consistency():
     M = matrix_falling(D, 5)
     assert M[0, 0] == falling.falling(F(1, 2), 5)
     assert M[1, 1] == falling.falling(F(-2, 3), 5)
-
-
-def test_matrix_delta_table_incremental():
-    A = catalog.matrix_catalog()[3]
-    tab = matrix_delta_table(A, 6)
-    assert len(tab) == 7
-    for n, M in enumerate(tab):
-        assert M == matrix_delta(A, n)
 
 
 int_mats = st.integers(1, 4).flatmap(

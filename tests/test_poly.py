@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from factcancel.poly import (
     MultiPoly,
-    SeriesQ,
     UniPoly,
-    delta_series,
     differentiate_scaled,
     integer_content_denominator,
 )
@@ -78,8 +76,3 @@ def test_multipoly_partial():
     p = MultiPoly.monomial(2, (2, 1))
     assert p.partial(0) == MultiPoly.monomial(2, (1, 1), 2)
     assert p.partial_multi((2, 1)) == MultiPoly.constant(2, 2)
-
-
-def test_delta_series_is_euler_operator():
-    f = SeriesQ.from_list([5, 1, 1, 1], 3)
-    assert delta_series(f) == SeriesQ.from_list([0, 1, 2, 3], 3)
