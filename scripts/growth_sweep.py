@@ -10,13 +10,14 @@ import argparse
 import math
 from fractions import Fraction
 
-from factcancel import arith, catalog, constcoef, falling, matfun
+from factcancel import catalog, constcoef, falling, matfun
+from factcancel.checks import chi
 
 
 def scalar_rows(k_max: int, step: int):
     for lam in (Fraction(1, 2), Fraction(2, 3), Fraction(-7, 10)):
         b = lam.denominator
-        limit = math.log(b) + float(arith.chi(b))
+        limit = math.log(b) + float(chi(b))
         for k in range(step, k_max + 1, step):
             cert = falling.certify_scalar(lam, k)
             yield ("scalar", str(lam), k, math.log(cert.psi_k) / k, limit)
@@ -28,7 +29,7 @@ def matrix_rows(k_max: int, step: int):
         ("diag(1/2,1/3)", matfun.MatQ.diagonal([Fraction(1, 2), Fraction(1, 3)])),
     ]:
         data = matfun.spectral(A)
-        limit = math.log(data.b) + float(arith.chi(data.b))
+        limit = math.log(data.b) + float(chi(data.b))
         for k in range(step, k_max + 1, step):
             cert = matfun.certify_matrix(A, k)
             rate = math.log(cert.psi_k) / k if cert.psi_k > 1 else 0.0

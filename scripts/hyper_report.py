@@ -28,7 +28,7 @@ def main() -> int:
     p = hyper.HyperParams.of(args.alpha, args.beta)
     print(f"alpha = {args.alpha}, beta = {args.beta}, gamma = {p.gamma()}")
     print(f"series satisfies its system through z^{args.k - 1}:",
-          hyper.system_residual(p, args.k))
+          hyper.system_residual(p, hyper.build_system(p), args.k))
 
     cert = hyper.certify_lemma11(p, args.k)
     print(f"inner certificate k={args.k}: psi={cert.inner.psi_k} "

@@ -1,12 +1,11 @@
 """Exact integer/rational arithmetic kernels.
 
-Everything here is deterministic and pure: p-adic valuations of factorials,
-the prime-power common denominators of scaled falling factorials, lcm(1..k),
-the trinomial-coefficient lcm g_k, and the growth constants chi(b) and
+Everything here is deterministic and pure: primality and factoring, the
+prime sieve, the trinomial-coefficient lcm g_k, and the growth constant
 rho(b).  Divisibility data is always exact integers.  rho_exact is the exact
-rational that hyper encloses Phi from; chi returns an mpmath real (mpmath is
-imported only inside it) and is the oracle that tests and scripts compare
-certificate.growth_constant and hyper.theorem6's C0 with.
+rational that hyper encloses Phi from.  The references the tests compare
+with (tau_p, lcm_upto, prime_power_product, chi and g_k_exponent) are in
+``checks``.
 """
 
 from __future__ import annotations
@@ -14,12 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
-from typing import TYPE_CHECKING, Iterable
-
-from .errors import NotPrime
-
-if TYPE_CHECKING:
-    import mpmath
+from typing import Iterable
 
 DEFAULT_DIGITS = 50
 
@@ -217,11 +211,6 @@ def _sieve(n: int) -> bytearray:
     return flags
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n, read off the sieve by itertools.compress."""
-    return list(compress(range(n + 1), _sieve(n)))
-
-
 def prime_pi(n: int) -> int:
     """pi(n), the number of primes <= n: the sieve's flags counted, no list
     built."""
@@ -234,70 +223,6 @@ def common_denominator(xs: Iterable[Fraction]) -> int:
     for x in xs:
         out = lcm(out, x.denominator)
     return out
-
-
-def tau_p(p: int, k: int) -> int:
-    """Legendre sum: the exponent of the prime p in k!.
-
-    tau_p(k) = floor(k/p) + floor(k/p^2) + ...  <= k/(p-1).
-    """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    total, q = 0, p
-    while q <= k:
-        total += k // q
-        q *= p
-    return total
-
-
-def prime_power_product(b: int, k: int) -> int:
-    """prod over primes p | b of p^tau_p(k); the exact common denominator of
-    the integers b^n <lambda>_n / n!, n <= k, for den(lambda) = b.
-
-    tau_p(k) = 0 for p > k, so only the primes p <= min(b, k) are tried and
-    b is never factored.  This is the test reference for the factor that
-    certificate.bound_steps builds incrementally; no certificate calls it.
-    """
-    if b < 1 or k < 0:
-        raise ValueError("need b >= 1 and k >= 0")
-    out = 1
-    for p in primes_upto(min(b, k)):
-        if b % p == 0:
-            out *= p ** tau_p(p, k)
-    return out
-
-
-def chi(b: int, digits: int = DEFAULT_DIGITS) -> mpmath.mpf:
-    """chi(b) = sum over primes p | b of ln(p)/(p-1)."""
-    import mpmath
-
-    with mpmath.workdps(digits):
-        return +mpmath.fsum(mpmath.log(p) / (p - 1) for p in prime_factors(b))
-
-
-def lcm_upto(k: int) -> int:
-    """d_k = lcm(1, 2, ..., k); d_0 = 1."""
-    out = 1
-    for i in range(2, k + 1):
-        out = lcm(out, i)
-    return out
-
-
-def g_k_exponent(p: int, k: int) -> int:
-    """Exponent of the prime p in g_k, i.e. the maximum over k0+k1+k2 = k of
-    v_p(k!/(k0! k1! k2!)) = tau_p(k) - tau_p(k0) - tau_p(k1) - tau_p(k2).
-
-    By Kummer's theorem that valuation is the sum of the base-p carries of
-    the addition k0 + k1 + k2, each carry c in {0, 1, 2}; _most_carries
-    takes the most of them in O(log_p k), with no table and no cache.
-    """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return _most_carries(p, k)
 
 
 def _most_carries(p: int, k: int) -> int:

@@ -107,7 +107,7 @@ def make_certificate(
 def growth_constant(scale: int, b: int, shift: int) -> float:
     """scale * b * e^(chi(b) + shift), chi(b) = sum over primes p | b of
     ln(p)/(p-1): the asymptotic constant of every family's certificate,
-    computed at 50 decimal digits (arith.chi is the mpmath oracle)."""
+    computed at 50 decimal digits (checks.chi is the mpmath oracle)."""
     chi = decimal.Decimal(0)
     for p in arith.prime_factors(b):
         chi = _DEC.add(chi, _DEC.divide(_DEC.ln(p), p - 1))

@@ -6,11 +6,12 @@ Exit codes: 0 success/verdict, 1 property failure, 2 input error,
 Start-up is most of a single call, so this module imports only ``arith``
 and ``errors``: each ``cmd_*`` handler imports the family module it drives
 (``falling``, ``matfun``, ``fuchs``, ``constcoef`` or ``hyper``), and only
-``verify`` imports them all.  ``hyper`` itself loads ``fuchs`` and
-``matfun`` only in the functions that build a matrix system, so ``hyper
-series``, ``conditions`` and ``theorem6`` load neither.  Certificate reals
-come from ``decimal``, so only ``theorem6`` loads ``mpmath``, for its
-interval decision; its ``--precision`` is the one precision flag.
+``verify`` imports ``checks``, which loads them all.  ``hyper`` itself loads
+``fuchs``, ``matfun`` and ``certificate`` only in the functions that build a
+matrix system or a certificate, so ``hyper series``, ``conditions`` and
+``theorem6`` load none of them.  Certificate reals come from ``decimal``,
+so only ``theorem6`` loads ``mpmath``, for its interval decision; its
+``--precision`` is the one precision flag.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import io
 import json
 import reprlib
 import sys
-from fractions import Fraction
-from math import factorial
 
 from . import arith
 from .errors import (
@@ -128,7 +127,7 @@ def cmd_hyper(args) -> int:
         return EXIT_OK
     if args.hyper_cmd == "system":
         system = hyper.build_system(params)
-        ok = hyper.system_residual(params, args.N)
+        ok = hyper.system_residual(params, system, args.N)
         if args.json:
             print(
                 json.dumps(
@@ -202,105 +201,17 @@ def cmd_hyper(args) -> int:
 # verify suites
 
 
-def _identity_checks(seed: int):
-    import random
-
-    from . import catalog, constcoef, fuchs, hyper, matfun
-    from .poly import UniPoly
-
-    rng = random.Random(seed)
-    checks = []
-    polys = [
-        UniPoly(tuple(rng.randint(-4, 4) for _ in range(rng.randint(2, 6))))
-        for _ in range(5)
-    ]
-    for lam in catalog.SCALAR_LAMBDAS[:6]:
-        for f in polys[:2]:
-            for n in (1, 3, 6):
-                checks.append(
-                    ("eq14", lambda lam=lam, f=f, n=n: fuchs.operator_identity_14(lam, f, n))
-                )
-    for lam1, lam2 in [(Fraction(1, 2), Fraction(1, 3)), (Fraction(-1, 4), Fraction(2, 5))]:
-        checks.append(
-            (
-                "eq16",
-                lambda a=lam1, b=lam2: fuchs.operator_identity_16(
-                    [a, b], [Fraction(0), Fraction(1)], polys[0], 4
-                ),
-            )
-        )
-    for system in catalog.fuchsian_catalog(seed)[:6]:
-        for n in (1, 2, 4):
-            checks.append(
-                (
-                    "bracket",
-                    lambda s=system, n=n: fuchs.qn_via_brackets(s, n)
-                    == fuchs.qn_recurrence(s, n),
-                )
-            )
-    mats = [catalog.random_rational_matrix(2, rng) for _ in range(3)]
-    checks.append(("bracket-sum", lambda: matfun.bracket_sum_identity(mats, 4)))
-    for A in catalog.constcoef_catalog()[:4]:
-        for n in (2, 3, 4):
-            checks.append(
-                (
-                    "partition",
-                    lambda A=A, n=n: constcoef.lemma17_rhs(A, n)
-                    == constcoef.script_A_n(A, n).scale(
-                        Fraction(1, factorial(n))
-                    ),
-                )
-            )
-    for params in catalog.HYPER_CATALOG:
-        forms = hyper.adjoint_system(params)
-        checks.append(("projector", lambda f=forms: hyper.projector_relations(f, 3)))
-    for n1, n2 in [(0, 0), (2, 3), (4, 1)]:
-        checks.append(
-            ("partial-fraction", lambda a=n1, b=n2: hyper.partial_fraction_identity(a, b))
-        )
-    return checks
-
-
-def _divisibility_checks(seed: int):
-    from . import catalog, constcoef, falling, fuchs, hyper, matfun
-
-    checks = []
-    for lam in catalog.SCALAR_LAMBDAS[:8]:
-        checks.append(
-            ("scalar", lambda lam=lam: falling.certify_scalar(lam, 60).divides)
-        )
-    for A in catalog.matrix_catalog()[:6]:
-        checks.append(("matrix", lambda A=A: matfun.certify_matrix(A, 20).divides))
-    for system in catalog.fuchsian_catalog(seed)[:4]:
-        checks.append(
-            (
-                "fuchsian",
-                lambda s=system: fuchs.certify_system(s, 8).divides in (True, None),
-            )
-        )
-    for params in catalog.HYPER_CATALOG[:2]:
-        checks.append(
-            (
-                "lemma11",
-                lambda p=params: hyper.certify_lemma11(p, 10).inner.divides,
-            )
-        )
-    for A in catalog.constcoef_catalog()[:4]:
-        checks.append(
-            ("theorem7", lambda A=A: constcoef.certify_constcoef(A, 10).divides)
-        )
-    return checks
-
-
 def cmd_verify(args) -> int:
-    checks = []
+    from . import checks
+
+    cases = []
     if args.suite in ("identities", "all"):
-        checks += _identity_checks(args.seed)
+        cases += checks.identity_checks(args.seed)
     if args.suite in ("divisibility", "all"):
-        checks += _divisibility_checks(args.seed)
+        cases += checks.divisibility_checks(args.seed)
     tally = {}
     first_failure = None
-    for name, fn in checks:
+    for name, fn in cases:
         ok = fn()
         passed, total = tally.get(name, (0, 0))
         tally[name] = (passed + (1 if ok else 0), total + 1)

@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm
 
-from . import arith, falling
+from . import falling
 from .certificate import CancellationCertificate, certify
-from .errors import NotPrime, RepeatedRootMinPoly
+from .errors import RepeatedRootMinPoly
 from .matfun import MatQ, _compositions, _flag_basis, matrix_delta_table, spectral
 from .poly import MultiPoly
 
@@ -221,31 +221,6 @@ def lemma17_rhs(A: MatQ, n: int) -> "LinearDiffOp":
             weight /= factorial(si)
         out = out + formal_product(factors).scale(weight)
     return out
-
-
-def monomial_integrality_check(B: MatQ, s: int, degree_cap: int) -> bool:
-    """For integral B, (1/s!) [B]^s (symbol power) maps every monomial of
-    degree <= degree_cap into Z[y]."""
-    if B.entry_denominator() != 1:
-        raise ValueError("B must be integral")
-    m = B.size
-    if s == 0:
-        return True
-    op = formal_product([bracket_op(B)] * s).scale(Fraction(1, factorial(s)))
-    for d in range(degree_cap + 1):
-        for expo in _compositions(d, m):
-            if not op.apply(MultiPoly.monomial(m, expo)).is_integral():
-                return False
-    return True
-
-
-def lemma19_inequality(s, p: int) -> bool:
-    """sum_i s_i tau_p(i) <= tau_p(sum_i i s_i), exactly."""
-    if not arith.is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    lhs = sum(si * arith.tau_p(p, i) for i, si in enumerate(s, start=1))
-    n = sum(i * si for i, si in enumerate(s, start=1))
-    return lhs <= arith.tau_p(p, n)
 
 
 def _induced_matrices(qA: list[list[int]], degree_cap: int):

@@ -29,22 +29,6 @@ from typing import Iterator
 from .certificate import CancellationCertificate, certificate_steps, certify
 
 
-def falling(lam: Fraction, n: int) -> Fraction:
-    """<lambda>_n = lambda(lambda-1)...(lambda-n+1); 1 for n = 0."""
-    out = Fraction(1)
-    for i in range(n):
-        out *= lam - i
-    return out
-
-
-def delta(lam: Fraction, n: int) -> Fraction:
-    """Delta_n(lambda) = <lambda>_n / n!, computed incrementally."""
-    out = Fraction(1)
-    for i in range(n):
-        out = out * (lam - i) / (i + 1)
-    return out
-
-
 def delta_poly_coeffs(n: int) -> UniPoly:
     """Delta_n(x) as an exact polynomial in x (degree n).  Only the
     oracles use it, so poly is imported here, not by the scalar path."""

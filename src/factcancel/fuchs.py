@@ -3,9 +3,9 @@
 Contains the higher-derivative matrices T^n Q^[n] / n! as one integer
 pencil run by falling.pencil_steps (the single-pole system T = z, Q = A/z
 gives the matrix Delta_n(A)), the bracket-sum assembly of the same matrices
-(the central cross-validation oracle), the single-pole and commuting
-multi-pole operator identities, and the per-k denominator certificate for
-the system.
+(the central cross-validation oracle), and the per-k denominator certificate
+for the system.  The operator identities (14), (16) and (24), which run
+the same pencil from a start matrix, are in ``checks``.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Iterator
 
 from . import arith, falling
 from .certificate import CancellationCertificate, certify, make_certificate
-from .errors import DimensionMismatch, IrrationalSpectrum, NotCommuting, SingularT
+from .errors import DimensionMismatch, IrrationalSpectrum, SingularT
 from .matfun import (
     MatQ,
     _compositions,
@@ -30,10 +30,9 @@ from .matfun import (
     _primitive_chain,
     bracket_table,
     commuting_check,
-    matrix_delta_table,
     spectral,
 )
-from .poly import UniPoly, differentiate_scaled, integer_content_denominator
+from .poly import UniPoly, integer_content_denominator
 
 _ZERO = UniPoly.zero()
 
@@ -261,90 +260,6 @@ def qn_via_brackets(system: FuchsianSystem, n: int) -> PolyMat:
             cof = cof * UniPoly((-g, 1)) ** (n - ni)
         acc = acc + PolyMat.from_matq(table[idx]).scale_poly(cof)
     return acc.transpose()
-
-
-# ---------------------------------------------------------------------------
-# operator identities
-
-
-def operator_identity_14(lam: Fraction, f: UniPoly, n: int) -> bool:
-    """Single pole at 0: z^n (d/dz + lam/z)^n f equals
-    sum_l C(n,l) <lam>_l z^{n-l} f^{(n-l)}, exactly."""
-    system = FuchsianSystem(m=1, gammas=(Fraction(0),), residues=(MatQ([[lam]]),))
-    for N, D in _scaled_qn(system, n, PolyMat([[f]])):
-        pass
-    G = _polymat(N, D, factorial(n))[0, 0]
-    rhs = UniPoly.zero()
-    fall = Fraction(1)
-    for l in range(n + 1):
-        if l:
-            fall *= lam - (l - 1)
-        deriv = f
-        for _ in range(n - l):
-            deriv = deriv.derivative()
-        rhs = rhs + (UniPoly.monomial(1, n - l) * deriv).scale(comb(n, l) * fall)
-    return G == rhs
-
-
-def operator_identity_16(lams, gammas, f: UniPoly, n: int) -> bool:
-    """Commuting scalar multi-pole case: T^n D^n f / n! equals the multinomial
-    sum of prod (z-gamma_i)^{n-n_i} Delta_{n_i}(lam_i) f^{(n_0)}/n_0!."""
-    s = len(lams)
-    system = FuchsianSystem(
-        m=1, gammas=tuple(gammas), residues=tuple(MatQ([[lam]]) for lam in lams)
-    )
-    for N, D in _scaled_qn(system, n, PolyMat([[f]])):
-        pass
-    G = _polymat(N, D)[0, 0]
-    rhs = UniPoly.zero()
-    for idx in _compositions(n, s + 1):
-        n0, rest = idx[0], idx[1:]
-        term = differentiate_scaled(f, n0)
-        coeff = Fraction(1)
-        for lam, ni in zip(lams, rest):
-            coeff *= falling.delta(lam, ni)
-        if not coeff:
-            continue
-        for g, ni in zip(gammas, rest):
-            term = term * UniPoly((-g, 1)) ** (n - ni)
-        rhs = rhs + term.scale(coeff)
-    return G == rhs
-
-
-def operator_identity_24(system: FuchsianSystem, n: int) -> bool:
-    """Commuting-residue matrix identity: T^n D^n / n! with
-    D = d/dz + sum tA_i/(z-gamma_i) equals the multinomial sum of
-    prod (z-gamma_i)^{n-n_i} Delta_{n_1}(tA_1)...Delta_{n_s}(tA_s)
-    (1/n_0!) d^{n_0}/dz^{n_0}, checked on the basis z^d E, d <= 2n."""
-    if not commuting_check(list(system.residues)):
-        raise NotCommuting("the residue matrices must pairwise commute")
-    s = system.npoles
-    size = system.size
-    tmats = [A.transpose() for A in system.residues]
-    deltas = [matrix_delta_table(M, n) for M in tmats]
-    for d in range(2 * n + 1):
-        # lhs: T^n D^n (z^d E) / n! is the transpose of the row-acting run
-        start = PolyMat.identity(size).scale_poly(UniPoly.monomial(1, d))
-        for N, D in _scaled_qn(system, n, start):
-            pass
-        G = _polymat(N, D).transpose()
-        rhs = PolyMat([[UniPoly.zero()] * size for _ in range(size)])
-        for idx in _compositions(n, s + 1):
-            n0, rest = idx[0], idx[1:]
-            if n0 > d:
-                continue
-            M = MatQ.identity(size)
-            for i, ni in enumerate(rest):
-                M = M @ deltas[i][ni]
-            if M.is_zero():
-                continue
-            cof = UniPoly.monomial(comb(d, n0), d - n0)
-            for g, ni in zip(system.gammas, rest):
-                cof = cof * UniPoly((-g, 1)) ** (n - ni)
-            rhs = rhs + PolyMat.from_matq(M).scale_poly(cof)
-        if G != rhs:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ The series F(alpha; beta+1 | z) as its coefficient list, its first-order
 system at the poles 0 and 1 (in augmented form, checked against the series
 as a three-term identity on coefficients), the adjoint system with its
 explicit eigen-structure, the trinomial-lcm denominator certificate for the
-adjoint system, the geometric-growth class constant Phi, Wronskian/trace
-checks, the four irreducibility conditions, and the irrationality decision
-with its explicit constants C0 and eta0.
+adjoint system, the geometric-growth class constant Phi, the four
+irreducibility conditions, and the irrationality decision with its explicit
+constants C0 and eta0.  The paper's checks on these objects (projector,
+partial fractions, Wronskian) are in ``checks``.
 
 ``fuchs`` and ``matfun`` are imported inside the functions that build a
-matrix system, so the series, conditions and theorem6 paths load neither.
-``mpmath`` is imported only by the interval code (g_class_phi, theorem6 and
-its report): Phi, chi(b0), C0 and eta0 are each enclosed once, in a private
+matrix system, and ``certificate`` inside certify_lemma11, so the series,
+conditions and theorem6 paths load none of them.
+``mpmath`` is imported only by the interval code (theorem6 and its
+report): Phi, chi(b0), C0 and eta0 are each enclosed once, in a private
 interval context, and reported as the midpoints of those enclosures.
 Certificate constants come from ``decimal``.
 """
@@ -22,11 +24,10 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Optional
 
-from . import arith, falling
-from .certificate import CancellationCertificate, certify, make_certificate
+from . import arith
 from .errors import (
     ConditionsFailed,
     EpsilonOutOfRange,
@@ -151,10 +152,10 @@ def build_system(params: HyperParams) -> FuchsianSystem:
     )
 
 
-def system_residual(params: HyperParams, N: int) -> bool:
-    """True iff Y = (1, f, delta f, ..., delta^{m-1} f) satisfies the system
-    z(z-1) Y' = (Z0 (z-1) + Z1 z) Y of build_system exactly through the
-    z^{N-1} coefficient.
+def system_residual(params: HyperParams, system: FuchsianSystem, N: int) -> bool:
+    """True iff Y = (1, f, delta f, ..., delta^{m-1} f) satisfies
+    z(z-1) Y' = (Z0 (z-1) + Z1 z) Y, (Z0, Z1) the residues of system (as
+    built by build_system(params)), exactly through the z^{N-1} coefficient.
 
     The z^n coefficient of Y is y_n = (delta_{n0}, f_n, n f_n, ...,
     n^{m-1} f_n), so the z^n coefficient of the system is the three-term
@@ -162,7 +163,7 @@ def system_residual(params: HyperParams, N: int) -> bool:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    Z0, Z1 = build_system(params).residues
+    Z0, Z1 = system.residues
     # row l of the identity as its nonzero terms (j, Z0[l][j], (Z0 + Z1)[l][j])
     rows = [
         [(j, a, a + b) for j, (a, b) in enumerate(zip(r0, r1)) if a or b]
@@ -274,20 +275,6 @@ def adjoint_fuchsian(params: HyperParams) -> FuchsianSystem:
     )
 
 
-def projector_relations(forms: SpectralForms, n2: int) -> bool:
-    """B2^2 = gamma B2 and <B2>_{n2} = <gamma-1>_{n2-1} B2, exactly."""
-    if n2 < 1:
-        raise ValueError("n2 must be >= 1")
-    from .matfun import matrix_falling
-
-    g = forms.gamma
-    if forms.B2 @ forms.B2 != forms.B2.scale(g):
-        return False
-    lhs = matrix_falling(forms.B2, n2)
-    rhs = forms.B2.scale(falling.falling(g - 1, n2 - 1))
-    return lhs == rhs
-
-
 @dataclass(frozen=True)
 class Lemma11Certificate:
     """Two-sided denominator certificate for the adjoint system.
@@ -315,6 +302,7 @@ class Lemma11Certificate:
 
 
 def certify_lemma11(params: HyperParams, k: int) -> Lemma11Certificate:
+    from .certificate import certify, make_certificate
     from .fuchs import FuchsianSystem, _content, _scaled_qn
 
     if k < 1:
@@ -341,23 +329,6 @@ def certify_lemma11(params: HyperParams, k: int) -> Lemma11Certificate:
     return Lemma11Certificate(
         inner=inner, outer=outer, gamma_zero=gamma_zero, a=a, b=b, t1=t1, t2=t2
     )
-
-
-def partial_fraction_identity(n1: int, n2: int) -> bool:
-    """1/(z^{n1+1}(1-z)^{n2+1}) as the two binomial partial-fraction sums,
-    verified after clearing denominators."""
-    z = UniPoly.x()
-    one_minus = UniPoly((1, -1))
-    rhs = UniPoly.zero()
-    for j in range(n1 + 1):
-        rhs = rhs + (z ** (n1 - j) * one_minus ** (n2 + 1)).scale(
-            comb(n1 + n2 - j, n2)
-        )
-    for j in range(n2 + 1):
-        rhs = rhs + (z ** (n1 + 1) * one_minus ** (n2 - j)).scale(
-            comb(n1 + n2 - j, n1)
-        )
-    return rhs == UniPoly.one()
 
 
 #: the private interval context of Phi and theorem6, made on first use: its
@@ -397,14 +368,6 @@ class GClassEstimate:
     digits: int = arith.DEFAULT_DIGITS
 
 
-def g_class_phi(
-    params: HyperParams, digits: int = arith.DEFAULT_DIGITS
-) -> GClassEstimate:
-    """Phi = e^{rho(b_1) + ... + rho(b_m)} q1/b, b_j = den(beta_j), as the
-    midpoint of its enclosure at `digits` decimal digits."""
-    return _phi_enclosure(params, digits)[0]
-
-
 def _phi_enclosure(params: HyperParams, digits: int) -> tuple[GClassEstimate, object]:
     """The G-class data, with Phi the midpoint, and the interval enclosure
     of Phi in the private interval context at `digits` digits."""
@@ -420,66 +383,6 @@ def _phi_enclosure(params: HyperParams, digits: int) -> tuple[GClassEstimate, ob
     phi = iv.exp(rho) * q1 / b
     est = GClassEstimate(radius=1, Phi=_mid(phi), b=b, q1=q1, q2=q2, b_js=b_js, digits=digits)
     return est, phi
-
-
-def phi_empirical_check(params: HyperParams, k: int) -> bool:
-    """Measured lcm of series-coefficient denominators divides the exact
-    per-k product q1^k times, for each beta_j, the product of the numerators
-    of beta_j + n over n = 1..k (the denominator of 1/prod(beta_j + n))."""
-    f = series(params, k)
-    phi_k = arith.common_denominator(f)
-    target = 1
-    for al in params.alpha:
-        target *= al.denominator**k
-    for be in params.beta:
-        for n in range(1, k + 1):
-            target *= abs((be + n).numerator)
-    return target % phi_k == 0
-
-
-@dataclass(frozen=True)
-class WronskianReport:
-    trace_ok: bool
-    e0: Fraction
-    e1: Fraction
-    e0_alt: Fraction
-    e1_alt: Fraction
-    residual_zero: bool
-
-
-def wronskian_checks(params: HyperParams) -> WronskianReport:
-    """Trace of the homogeneous system equals (beta - z alpha)/(z(z-1)) with
-    alpha = sigma_1(alpha), beta = sigma_1(beta), checked with the
-    denominator z(z-1) cleared; the exponent pair (e0, e1)
-    with z^{e0}(1-z)^{e1} solving the first-order Wronskian equation is
-    derived by coefficient matching; (e0_alt, e1_alt) records the commonly
-    quoted pair, which flips the sign of the exponent at z = 1."""
-    from .matfun import MatQ
-
-    sa, sb = vieta(params)
-    al, be = sa[0], sb[0]
-    # homogeneous residues: companion at 0, last-row matrix at 1
-    system = build_system(params)
-    m = params.m
-    A0 = MatQ([[system.residues[0][i, j] for j in range(1, m + 1)] for i in range(1, m + 1)])
-    A1 = MatQ([[system.residues[1][i, j] for j in range(1, m + 1)] for i in range(1, m + 1)])
-    # tr A0/z + tr A1/(z-1) = (beta - z alpha)/(z(z-1)), times z(z-1)
-    trace = UniPoly((-1, 1)).scale(A0.trace()) + UniPoly((0, 1)).scale(A1.trace())
-    trace_ok = trace == UniPoly((be, -al))
-    # delta log y + beta = z (delta log y + alpha) for y = z^e0 (1-z)^e1:
-    # matching coefficients of (e0+beta)(1-z) - e1 z = z(e0+alpha)(1-z) - e1 z^2
-    e0 = -be
-    e1 = be - al
-    lhs = UniPoly((e0 + be, -(e0 + be) - e1))
-    rhs = UniPoly((0, e0 + al, -(e0 + al) - e1))
-    return WronskianReport(
-        trace_ok=trace_ok,
-        e0=e0,
-        e1=e1,
-        e0_alt=-be,
-        e1_alt=al - be,
-        residual_zero=(lhs - rhs).is_zero(),
-    )
 
 
 # ---------------------------------------------------------------------------

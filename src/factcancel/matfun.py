@@ -2,9 +2,10 @@
 
 Characteristic and minimal polynomials, Jordan decomposition for matrices
 with rational spectrum (computed fraction-free on the integer matrix qA),
-the matrix binomial polynomials Delta_n(A), the
+the matrix binomial polynomials Delta_n(A), the table of the
 noncommutative multivariate falling-factorial bracket, and the per-k
 denominator certificate psi_k | t1 t2 b^k d_k^{r-1} prod p^{tau_p(k)}.
+The bracket identities, min_poly and the Jordan form are in ``checks``.
 """
 
 from __future__ import annotations
@@ -13,20 +14,14 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from . import arith, falling
 from .certificate import CancellationCertificate, certify
-from .errors import (
-    DimensionMismatch,
-    IrrationalSpectrum,
-    NotCommuting,
-    SingularT,
-)
+from .errors import DimensionMismatch, IrrationalSpectrum, SingularT
 from .poly import UniPoly
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -191,30 +186,6 @@ class MatQ:
 
 # ---------------------------------------------------------------------------
 # echelon helpers
-
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (copy) and pivot column indices."""
-    m = [list(r) for r in rows]
-    nr, nc = len(m), (len(m[0]) if m else 0)
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        f = m[r][c]
-        m[r] = [x / f for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                g = m[i][c]
-                m[i] = [x - g * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m[:r], pivots
 
 
 # The spectral layer works on the integer matrix B = qA (q = entry
@@ -454,7 +425,7 @@ def _eigenvalues(B: list[list[int]]) -> tuple[list[int], dict[int, int], list[in
 
 
 # ---------------------------------------------------------------------------
-# characteristic and minimal polynomials
+# characteristic polynomials and rational roots
 
 
 def char_poly(A: MatQ) -> UniPoly:
@@ -462,28 +433,6 @@ def char_poly(A: MatQ) -> UniPoly:
     whose characteristic polynomial is det(yE - qA) at y = qx, times q^-n."""
     q, B = _integer_form(A)
     return _over_powers(_char_poly_int(B), q)
-
-
-def min_poly(A: MatQ) -> UniPoly:
-    """Monic minimal polynomial, found as the first linear dependence among
-    E, A, A^2, ... in the n^2-dimensional matrix space.  Kept independent of
-    spectral(), as the oracle for SpectralData.min_poly."""
-    n = A.size
-    powers = [MatQ.identity(n)]
-    vecs = [[x for r in powers[0].rows for x in r]]
-    for d in range(1, n + 1):
-        powers.append(powers[-1] @ A)
-        vecs.append([x for r in powers[-1].rows for x in r])
-        # solve sum_{i<d} c_i vec(A^i) = -vec(A^d)
-        nc = n * n
-        aug = [[vecs[i][j] for i in range(d)] + [-vecs[d][j]] for j in range(nc)]
-        rows, pivots = rref(aug)
-        if d not in pivots:  # consistent system
-            sol = [_ZERO] * d
-            for row, p in zip(rows, pivots):
-                sol[p] = row[d]
-            return UniPoly(sol + [_ONE])
-    raise AssertionError("unreachable: Cayley-Hamilton bounds the degree")
 
 
 def rational_roots_monic(p: UniPoly) -> tuple[dict[Fraction, int], UniPoly]:
@@ -514,9 +463,9 @@ class SpectralData:
     """Rational spectral decomposition of a square matrix.
 
     jordan_T @ J @ jordan_T_inv reconstructs A, where J is the Jordan form
-    implied by (eigenvalues, block_sizes).  t1, t2 are the least common
-    denominators of the entries of jordan_T and jordan_T_inv; b the common
-    denominator of the eigenvalues.
+    implied by (eigenvalues, block_sizes), as checks.jordan_form builds it.
+    t1, t2 are the least common denominators of the entries of jordan_T and
+    jordan_T_inv; b the common denominator of the eigenvalues.
     """
 
     eigenvalues: tuple  # distinct, ascending
@@ -530,19 +479,6 @@ class SpectralData:
     t1: int
     t2: int
     b: int
-
-    def jordan_form(self) -> MatQ:
-        n = self.jordan_T.size
-        J = [[_ZERO] * n for _ in range(n)]
-        pos = 0
-        for lam, sizes in zip(self.eigenvalues, self.block_sizes):
-            for h in sizes:
-                for i in range(h):
-                    J[pos + i][pos + i] = lam
-                    if i + 1 < h:
-                        J[pos + i][pos + i + 1] = _ONE
-                pos += h
-        return MatQ(J)
 
 
 def _primitive_chain(chain: list[list[int]]) -> list[tuple[int, ...]]:
@@ -646,14 +582,6 @@ def spectral(A: MatQ) -> SpectralData:
 # matrix falling factorials
 
 
-def matrix_falling(A: MatQ, n: int) -> MatQ:
-    """<A>_n = A(A-E)...(A-(n-1)E); E for n = 0."""
-    out = MatQ.identity(A.size)
-    for i in range(n):
-        out = out @ A.shift(-i)
-    return out
-
-
 def matrix_delta_table(A: MatQ, k: int) -> list[MatQ]:
     """[Delta_0(A), ..., Delta_k(A)] computed incrementally in exact
     rationals; the reference that falling.delta_steps is tested against."""
@@ -661,25 +589,6 @@ def matrix_delta_table(A: MatQ, k: int) -> list[MatQ]:
     for n in range(1, k + 1):
         out.append((out[-1] @ A.shift(-(n - 1))).scale(Fraction(1, n)))
     return out
-
-
-def jordan_block_delta(lam: Fraction, size: int, n: int) -> MatQ:
-    """Delta_n of a Jordan block: upper-triangular Toeplitz with entries
-    Delta_n^{(j)}(lam)/j! on the j-th superdiagonal."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    d = falling.delta_derivatives(lam, n, size)
-    return MatQ(
-        [[d[j - i] if j >= i else 0 for j in range(size)] for i in range(size)]
-    )
-
-
-def conjugation_check(A: MatQ, T: MatQ, n: int) -> bool:
-    """Exact check of Delta_n(T A T^{-1}) == T Delta_n(A) T^{-1}."""
-    T_inv = T.inverse()
-    lhs = matrix_delta_table(T @ A @ T_inv, n)[n]
-    rhs = T @ matrix_delta_table(A, n)[n] @ T_inv
-    return lhs == rhs
 
 
 def _flag_basis(A: MatQ, data: SpectralData) -> tuple[int, list[list[int]]]:
@@ -745,54 +654,9 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def bracket(mats: list[MatQ], n_index: tuple) -> MatQ:
-    """<A_1, ..., A_s>_n via the simplex recursion (memoized per call)."""
-    n_index = tuple(n_index)
-    if len(n_index) != len(mats):
-        raise DimensionMismatch("index arity must match the matrix count")
-    size = _check_same_size(mats)
-    if any(c < 0 for c in n_index):
-        return MatQ.zero(size)
-    table = bracket_table(mats, sum(n_index))
-    return table[n_index]
-
-
-def bracket_sum_identity(mats: list[MatQ], k: int) -> bool:
-    """<A_1 + ... + A_s>_k == sum over |n| = k of <A_1..A_s>_n, exactly."""
-    size = _check_same_size(mats)
-    total = MatQ.zero(size)
-    for M in mats:
-        total = total + M
-    lhs = matrix_falling(total, k)
-    table = bracket_table(mats, k)
-    rhs = MatQ.zero(size)
-    for idx in _compositions(k, len(mats)):
-        rhs = rhs + table[idx]
-    return lhs == rhs
-
-
 def commuting_check(mats: list[MatQ]) -> bool:
     """Exact pairwise commutator test."""
     for M1, M2 in itertools.combinations(mats, 2):
         if M1 @ M2 != M2 @ M1:
             return False
     return True
-
-
-def bracket_commuting_identity(mats: list[MatQ], n_index: tuple) -> bool:
-    """For pairwise commuting matrices the bracket collapses to the
-    multinomial coefficient times the product of <A_i>_{n_i}."""
-    if not commuting_check(mats):
-        raise NotCommuting("matrices must pairwise commute")
-    n_index = tuple(n_index)
-    size = _check_same_size(mats)
-    lhs = bracket(mats, n_index)
-    coeff = 1
-    rem = sum(n_index)
-    for ni in n_index:
-        coeff *= comb(rem, ni)
-        rem -= ni
-    rhs = MatQ.identity(size)
-    for M, ni in zip(mats, n_index):
-        rhs = rhs @ matrix_falling(M, ni)
-    return lhs == rhs.scale(coeff)

@@ -7,7 +7,7 @@ exponent-vector map.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 _ZERO = Fraction(0)
 
@@ -155,16 +155,6 @@ class UniPoly:
             for i in range(n - 2, j - 1, -1):
                 cs[i] += a * cs[i + 1]
         return UniPoly(cs)
-
-
-def differentiate_scaled(f: UniPoly, n: int) -> UniPoly:
-    """(1/n!) d^n f / dz^n, via (1/n!)(d/dz)^n z^d = C(d, n) z^{d-n} so that
-    integral polynomials stay integral."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return f
-    return UniPoly([comb(d, n) * f[d] for d in range(n, f.degree + 1)])
 
 
 def integer_content_denominator(f: UniPoly) -> int:

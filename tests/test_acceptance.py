@@ -11,8 +11,9 @@ from math import factorial, lcm
 import mpmath
 import pytest
 
-from factcancel import arith, catalog, constcoef as cc, falling, fuchs, hyper, matfun
-from factcancel.matfun import MatQ, bracket_commuting_identity, bracket_sum_identity
+from factcancel import arith, catalog, checks, constcoef as cc, falling, fuchs, hyper, matfun
+from factcancel.checks import bracket_commuting_identity, bracket_sum_identity
+from factcancel.matfun import MatQ
 from factcancel.poly import UniPoly
 
 F = Fraction
@@ -56,20 +57,20 @@ def test_criterion_3_operator_identities():
     for i, lam in enumerate(catalog.SCALAR_LAMBDAS):
         f = polys[i]
         for n in range(1, 13):
-            ok = ok and fuchs.operator_identity_14(lam, f, n)
+            ok = ok and checks.operator_identity_14(lam, f, n)
     # cross-check a fixed pair against every polynomial
     for f in polys:
-        ok = ok and fuchs.operator_identity_14(F(1, 2), f, 12)
+        ok = ok and checks.operator_identity_14(F(1, 2), f, 12)
     # s = 2 scalar and commuting-matrix versions
     for lam1, lam2, g1, g2 in [
         (F(1, 2), F(1, 3), F(0), F(1)),
         (F(-2, 5), F(3, 4), F(-1), F(2)),
     ]:
         for n in range(1, 9):
-            ok = ok and fuchs.operator_identity_16([lam1, lam2], [g1, g2], polys[0], n)
+            ok = ok and checks.operator_identity_16([lam1, lam2], [g1, g2], polys[0], n)
     for system in catalog.fuchsian_catalog()[:3]:
         for n in range(1, 9):
-            ok = ok and fuchs.operator_identity_24(system, n)
+            ok = ok and checks.operator_identity_24(system, n)
     report(3, ok, "derivative-operator expansions, n <= 12 scalar / n <= 8 two-pole")
 
 
@@ -87,8 +88,8 @@ def test_criterion_4_matrix_certificates():
                     data.t1
                     * data.t2
                     * data.b**n
-                    * arith.lcm_upto(n) ** (data.r_max - 1)
-                    * arith.prime_power_product(data.b, n)
+                    * checks.lcm_upto(n) ** (data.r_max - 1)
+                    * checks.prime_power_product(data.b, n)
                 )
                 ok = ok and bound % psi == 0
     for k in (1, 7, 30, 60):
@@ -119,9 +120,9 @@ def test_criterion_5_bracket_oracle():
 def test_criterion_6_hypergeometric_structure():
     ok = True
     for p in catalog.HYPER_CATALOG:
-        ok = ok and hyper.system_residual(p, 60)
         m = p.m
         system = hyper.build_system(p)
+        ok = ok and hyper.system_residual(p, system, 60)
         A1, A2 = hyper.adjoint_matrices(p)
         hom0 = MatQ([[system.residues[0][i, j] for j in range(1, m + 1)] for i in range(1, m + 1)])
         hom1 = MatQ([[system.residues[1][i, j] for j in range(1, m + 1)] for i in range(1, m + 1)])
@@ -132,7 +133,7 @@ def test_criterion_6_hypergeometric_structure():
         ok = ok and (forms.T_inv @ forms.A2 @ forms.T).transpose() == forms.B2
         ok = ok and forms.B2 @ forms.B2 == forms.B2.scale(forms.gamma)
         for n2 in (1, 2, 4):
-            ok = ok and hyper.projector_relations(forms, n2)
+            ok = ok and checks.projector_relations(forms, n2)
     report(6, ok, "series residual zero through z^59; adjoint closed forms exact")
 
 
@@ -155,17 +156,17 @@ def test_criterion_8_g_k_bound():
             ok = ok and mpmath.log(g) <= bound + mpmath.mpf(10) ** -40
     rng = random.Random(137)
     for k in (50, 100, 200):
-        primes = arith.primes_upto(k)
+        primes = checks.primes_upto(k)
         for _ in range(1000):
             k0 = rng.randint(0, k)
             k1 = rng.randint(0, k - k0)
             k2 = k - k0 - k1
             for p in primes:
                 excess = (
-                    arith.tau_p(p, k)
-                    - arith.tau_p(p, k0)
-                    - arith.tau_p(p, k1)
-                    - arith.tau_p(p, k2)
+                    checks.tau_p(p, k)
+                    - checks.tau_p(p, k0)
+                    - checks.tau_p(p, k1)
+                    - checks.tau_p(p, k2)
                 )
                 ok = ok and excess <= 2 * int(math.log(k) / math.log(p))
     report(8, ok, "ln g_k <= 2 pi(k) ln k for k <= 300; per-composition p-adic bound")
@@ -213,7 +214,7 @@ def test_criterion_10_operator_ring_suite():
     for n in range(1, 13):
         for s in cc.partitions_weighted(n):
             for p in (2, 3, 5, 7):
-                ok = ok and cc.lemma19_inequality(s, p)
+                ok = ok and checks.lemma19_inequality(s, p)
     for A in catalog.constcoef_catalog():
         ok = ok and cc.certify_constcoef(A, 40).divides
     report(10, ok, "partition expansion n <= 8; p-adic inequality; operator certificates k <= 40")
@@ -235,5 +236,5 @@ def test_criterion_11_cross_module_consistency():
         ok = ok and sys_psi % scal_psi == 0
     for lam in catalog.SCALAR_LAMBDAS:
         for n in range(0, 25):
-            ok = ok and falling.delta_derivatives(lam, n, 1) == [falling.delta(lam, n)]
+            ok = ok and falling.delta_derivatives(lam, n, 1) == [checks.delta(lam, n)]
     report(11, ok, "m=1 system absorbs the scalar certificate; r=1 derivatives reduce")

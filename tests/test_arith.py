@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factcancel import arith
+from factcancel import arith, checks
 from factcancel.errors import NotPrime
 
 
@@ -45,7 +45,7 @@ def test_is_prime_needs_base_41_below_mr_limit():
     assert not arith.is_prime(_PSI_12)
     assert arith.prime_factors(_PSI_12) == [399165290221, 798330580441]
     with pytest.raises(NotPrime):
-        arith.g_k_exponent(_PSI_12, 10)
+        checks.g_k_exponent(_PSI_12, 10)
 
 
 # psi_7 = 3.4e14 and psi_6 = 3.5e12 (Jaeschke, Math. Comp. 61, 1993): the
@@ -122,7 +122,7 @@ def test_bpsw_matches_miller_rabin_below_limit(n):
 
 
 def test_primes_upto_and_pi():
-    assert arith.primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert checks.primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert arith.prime_pi(100) == 25
     assert arith.prime_pi(1) == 0
     # every n from -1 up, the edges n <= 3 of the sieve included
@@ -130,7 +130,7 @@ def test_primes_upto_and_pi():
     for n in range(-1, 3001):
         if arith.is_prime(n):
             primes.append(n)
-        assert arith.primes_upto(n) == primes, n
+        assert checks.primes_upto(n) == primes, n
         assert arith.prime_pi(n) == len(primes), n
 
 
@@ -174,21 +174,21 @@ def test_tau_p_is_factorial_valuation(p, k):
     while fact and fact % p == 0:
         fact //= p
         v += 1
-    assert arith.tau_p(p, k) == v
+    assert checks.tau_p(p, k) == v
 
 
 def test_prime_power_product():
     # b = 6, k = 10: 2^8 * 3^4
-    assert arith.prime_power_product(6, 10) == 2**8 * 3**4
-    assert arith.prime_power_product(1, 50) == 1
+    assert checks.prime_power_product(6, 10) == 2**8 * 3**4
+    assert checks.prime_power_product(1, 50) == 1
 
 
 def test_prime_power_product_matches_factored_definition():
     for b in range(1, 2001):
         primes = _trial_division_factors(b)
         for k in range(61):
-            want = math.prod(p ** arith.tau_p(p, k) for p in primes)
-            assert arith.prime_power_product(b, k) == want, (b, k)
+            want = math.prod(p ** checks.tau_p(p, k) for p in primes)
+            assert checks.prime_power_product(b, k) == want, (b, k)
 
 
 def test_prime_power_product_never_factors_b():
@@ -196,18 +196,18 @@ def test_prime_power_product_never_factors_b():
     # find; every prime <= k is coprime to b, so the product needs none of them
     b = 1000000000000128000000000003367
     start = time.perf_counter()
-    assert arith.prime_power_product(b, 60) == 1
-    assert arith.prime_power_product(b * 2**3 * 7, 60) == 2**56 * 7**9
+    assert checks.prime_power_product(b, 60) == 1
+    assert checks.prime_power_product(b * 2**3 * 7, 60) == 2**56 * 7**9
     assert time.perf_counter() - start < 0.1
 
 
 def test_lcm_upto():
-    assert arith.lcm_upto(1) == 1
-    assert arith.lcm_upto(10) == 2520
+    assert checks.lcm_upto(1) == 1
+    assert checks.lcm_upto(10) == 2520
     acc = 1
     for i in range(1, 31):
         acc = math.lcm(acc, i)
-    assert arith.lcm_upto(30) == acc
+    assert checks.lcm_upto(30) == acc
 
 
 def test_chi_values():
@@ -215,8 +215,8 @@ def test_chi_values():
 
     with mpmath.workdps(50):
         want = mpmath.log(2) + mpmath.log(3) / 2
-        assert abs(arith.chi(6) - want) < mpmath.mpf(10) ** -45
-        assert arith.chi(1) == 0
+        assert abs(checks.chi(6) - want) < mpmath.mpf(10) ** -45
+        assert checks.chi(1) == 0
 
 
 @pytest.mark.parametrize("k", range(61))
@@ -228,7 +228,7 @@ def test_g_k_is_the_product_of_its_prime_powers():
     # the per-prime exponents against g_k's one product over the primes
     # above sqrt(k), far past the enumeration oracle's reach
     for k in range(2001):
-        want = math.prod(p ** arith.g_k_exponent(p, k) for p in arith.primes_upto(k))
+        want = math.prod(p ** checks.g_k_exponent(p, k) for p in checks.primes_upto(k))
         assert arith.g_k(k) == want, k
 
 
@@ -236,22 +236,22 @@ def test_g_k_exponent_matches_brute_force():
     # max of tau_p(k) - tau_p(k0) - tau_p(k1) - tau_p(k2) over k0 + k1 + k2 = k;
     # every prime above 8 meets k <= 80 only in the closed form for p^2 > k,
     # so the carry-DP primes p <= 11 run on to k = 150, the sweep's range
-    for p in arith.primes_upto(80):
+    for p in checks.primes_upto(80):
         k_max = 150 if p <= 11 else 80
-        tau = [arith.tau_p(p, n) for n in range(k_max + 1)]
+        tau = [checks.tau_p(p, n) for n in range(k_max + 1)]
         for k in range(p, k_max + 1):
             brute = max(
                 tau[k] - tau[k0] - tau[k1] - tau[k - k0 - k1]
                 for k0 in range(k + 1)
                 for k1 in range(k - k0 + 1)
             )
-            assert arith.g_k_exponent(p, k) == brute, (p, k)
+            assert checks.g_k_exponent(p, k) == brute, (p, k)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 999983])
 def test_g_k_exponent_huge_k(p):
     k = 10**12
-    e = arith.g_k_exponent(p, k)
+    e = checks.g_k_exponent(p, k)
     # floor(log_p k), computed exactly
     log_floor, q = 0, p
     while q <= k:
@@ -262,14 +262,14 @@ def test_g_k_exponent_huge_k(p):
 
 def test_g_k_exponent_rejects_non_prime():
     with pytest.raises(NotPrime):
-        arith.g_k_exponent(4, 10)
+        checks.g_k_exponent(4, 10)
 
 
 def test_g_k_exponent_bound():
     # per-prime exponent bounded by 2*floor(ln k / ln p)
     for k in (10, 50, 137):
-        for p in arith.primes_upto(k):
-            assert arith.g_k_exponent(p, k) <= 2 * int(math.log(k) / math.log(p))
+        for p in checks.primes_upto(k):
+            assert checks.g_k_exponent(p, k) <= 2 * int(math.log(k) / math.log(p))
 
 
 def test_rho_exact_small():

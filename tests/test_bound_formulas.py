@@ -1,8 +1,8 @@
 """Every family's bound_k equals its documented formula.
 
-The references are built from the arith oracles (lcm_upto,
-prime_power_product, g_k) and the spectral data of each instance, never
-from the certificate modules' own bound builder.
+The references are built from the checks oracles (lcm_upto,
+prime_power_product), arith.g_k and the spectral data of each instance,
+never from the certificate modules' own bound builder.
 """
 
 from fractions import Fraction
@@ -10,7 +10,7 @@ from math import lcm
 
 import pytest
 
-from factcancel import arith, catalog, constcoef, fuchs, hyper, matfun
+from factcancel import arith, catalog, checks, constcoef, fuchs, hyper, matfun
 from factcancel.fuchs import FuchsianSystem
 from factcancel.matfun import MatQ
 
@@ -23,8 +23,8 @@ def _formula(scale, base, b, k, d_exp):
     return (
         scale
         * (base * b) ** k
-        * arith.lcm_upto(k) ** d_exp
-        * arith.prime_power_product(b, k)
+        * checks.lcm_upto(k) ** d_exp
+        * checks.prime_power_product(b, k)
     )
 
 

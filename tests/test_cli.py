@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factcancel
-from factcancel import catalog, cli
+from factcancel import catalog, checks, cli
 from factcancel.certificate import CancellationCertificate
 from factcancel.cli import main
 
@@ -28,12 +28,14 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 # README-sized file inputs
 _MATRIX_JSON = [["1/2", "1/3"], ["0", "1/5"]]
 _SYSTEM_JSON = {"gammas": ["0", "1"], "residues": [[["1/2", "0"], ["0", "1/3"]], [["1/4", "0"], ["0", "1/5"]]]}
-_SCALAR = {"factcancel", "factcancel.arith", "factcancel.certificate", "factcancel.cli",
-           "factcancel.errors", "factcancel.falling"}
+_BASE = {"factcancel", "factcancel.arith", "factcancel.cli", "factcancel.errors"}
+_SCALAR = _BASE | {"factcancel.certificate", "factcancel.falling"}
 _MATRIX = _SCALAR | {"factcancel.matfun", "factcancel.poly"}
 _FUCHSIAN = _MATRIX | {"factcancel.fuchs"}
-_HYPER = _SCALAR | {"factcancel.hyper", "factcancel.poly"}
-_ALL = _FUCHSIAN | _HYPER | {"factcancel.catalog", "factcancel.constcoef"}
+# hyper series, conditions and theorem6 build no certificate and no matrix system
+_HYPER = _BASE | {"factcancel.hyper", "factcancel.poly"}
+# only verify loads the paper's checks
+_ALL = _FUCHSIAN | _HYPER | {"factcancel.catalog", "factcancel.checks", "factcancel.constcoef"}
 
 
 def _env():
@@ -61,6 +63,7 @@ def _modules_after(code, *argv):
         (["certify", "fuchsian", "--k", "12"], _SYSTEM_JSON, _FUCHSIAN),
         (["certify", "constcoef", "--k", "25"], _MATRIX_JSON, _MATRIX | {"factcancel.constcoef"}),
         (["hyper", "series", "--alpha", "1/3", "--beta", "1/2", "--N", "10"], None, _HYPER),
+        (["hyper", "conditions", "--alpha", "1/3", "--beta", "1/2"], None, _HYPER),
         (["hyper", "system", "--alpha", "1/3", "--beta", "1/2", "--N", "40"], None, _FUCHSIAN | _HYPER),
         # only the interval decision needs mpmath
         (
@@ -75,7 +78,8 @@ def _modules_after(code, *argv):
         ),
         (["verify", "--suite", "all", "--seed", "0"], None, _ALL),
     ],
-    ids=["scalar", "matrix", "fuchsian", "constcoef", "series", "system", "theorem6", "lemma11", "verify"],
+    ids=["scalar", "matrix", "fuchsian", "constcoef", "series", "conditions", "system", "theorem6", "lemma11",
+         "verify"],
 )
 def test_subcommand_imports_only_its_family(tmp_path, argv, file_value, want):
     if file_value is not None:
@@ -451,6 +455,21 @@ def test_hyper_theorem6_eta0_only_where_the_criterion_holds(capsys):
     assert data["measure_exponent"] is None
 
 
+def test_hyper_theorem6_indecisive_exits_0(capsys):
+    # xi = 1/floor(C0^(10/7)) is too close to the threshold for 10 digits
+    code, out = run(
+        capsys,
+        "hyper", "theorem6",
+        "--alpha", "1/3", "--beta", "1/2",
+        "--xi", "1/5892916322298416128", "--epsilon", "1/10",
+        "--precision", "10", "--json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["decisive"] is False
+    assert data["irrational"] is False
+
+
 def test_hyper_theorem6_conditions_failed_is_verdict(capsys):
     code, out = run(
         capsys,
@@ -475,9 +494,9 @@ def test_verify_identities(capsys):
 
 
 def test_verify_self_test_failure(monkeypatch, capsys):
-    identity_checks = cli._identity_checks
+    identity_checks = checks.identity_checks
     monkeypatch.setattr(
-        cli, "_identity_checks", lambda seed: identity_checks(seed) + [("self-test", lambda: False)]
+        checks, "identity_checks", lambda seed: identity_checks(seed) + [("self-test", lambda: False)]
     )
     code, out = run(capsys, "verify", "--suite", "identities", "--seed", "42", "--json")
     assert code == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factcancel import catalog, constcoef as cc, falling
+from factcancel import catalog, checks, constcoef as cc, falling
 from factcancel.errors import NotPrime, RepeatedRootMinPoly
 from factcancel.matfun import MatQ, _compositions, _integer_form, matrix_delta_table
 from factcancel.poly import MultiPoly
@@ -133,23 +133,23 @@ def test_lemma17_oracle(seed, size):
 
 
 def test_monomial_integrality():
-    assert cc.monomial_integrality_check(MatQ.identity(3), 3, 4)
+    assert checks.monomial_integrality_check(MatQ.identity(3), 3, 4)
     rng = random.Random(77)
     B = MatQ([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
     for s in range(6):
-        assert cc.monomial_integrality_check(B, s, 4)
+        assert checks.monomial_integrality_check(B, s, 4)
 
 
 def test_monomial_integrality_rejects_rational():
     with pytest.raises(ValueError):
-        cc.monomial_integrality_check(catalog.IDEMPOTENT_HALF, 2, 2)
+        checks.monomial_integrality_check(catalog.IDEMPOTENT_HALF, 2, 2)
 
 
 def test_lemma19_exhaustive_small():
-    assert cc.lemma19_inequality((1, 1), 2)
-    assert cc.lemma19_inequality((0, 0, 0), 5)
+    assert checks.lemma19_inequality((1, 1), 2)
+    assert checks.lemma19_inequality((0, 0, 0), 5)
     with pytest.raises(NotPrime):
-        cc.lemma19_inequality((1,), 4)
+        checks.lemma19_inequality((1,), 4)
 
 
 def test_certify_integer_diagonal_trivial():

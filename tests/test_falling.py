@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factcancel import arith, falling
+from factcancel import arith, checks, falling
 from factcancel.certificate import CancellationCertificate
 
 rats = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -14,19 +14,19 @@ rats = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 @given(rats, st.integers(0, 15))
 def test_falling_vs_delta(lam, n):
-    assert falling.delta(lam, n) == falling.falling(lam, n) / factorial(n)
+    assert checks.delta(lam, n) == checks.falling(lam, n) / factorial(n)
 
 
 @given(st.integers(0, 40), st.integers(0, 12))
 def test_delta_is_binomial_on_integers(a, n):
     # Delta_n(a) = C(a, n) for integer a >= 0
-    assert falling.delta(Fraction(a), n) == comb(a, n)
+    assert checks.delta(Fraction(a), n) == comb(a, n)
 
 
 @given(rats, st.integers(1, 12))
 def test_pascal_recurrence(lam, n):
     # Delta_n(x) - Delta_n(x-1) = Delta_{n-1}(x-1)
-    assert falling.delta(lam, n) - falling.delta(lam - 1, n) == falling.delta(
+    assert checks.delta(lam, n) - checks.delta(lam - 1, n) == checks.delta(
         lam - 1, n - 1
     )
 
@@ -40,7 +40,7 @@ def test_delta_derivatives_match_shift_oracle(lam, n, r):
 
 @given(rats, st.integers(0, 12))
 def test_delta_derivatives_order_one_is_delta(lam, n):
-    assert falling.delta_derivatives(lam, n, 1) == [falling.delta(lam, n)]
+    assert falling.delta_derivatives(lam, n, 1) == [checks.delta(lam, n)]
 
 
 @st.composite
@@ -110,7 +110,7 @@ def test_jordan_row_matches_full_delta_table(lam, r, k):
 def test_delta_poly_coeffs_evaluates():
     p = falling.delta_poly_coeffs(4)
     for x in (Fraction(1, 2), Fraction(7), Fraction(-2, 3)):
-        assert p.evaluate(x) == falling.delta(x, 4)
+        assert p.evaluate(x) == checks.delta(x, 4)
 
 
 @pytest.mark.parametrize(
@@ -120,7 +120,7 @@ def test_delta_poly_coeffs_evaluates():
 def test_certify_scalar_divides(lam):
     cert = falling.certify_scalar(lam, 60)
     assert cert.divides
-    assert cert.bound_k == lam.denominator**60 * arith.prime_power_product(lam.denominator, 60)
+    assert cert.bound_k == lam.denominator**60 * checks.prime_power_product(lam.denominator, 60)
 
 
 def test_integer_lambda_unit_denominator():
@@ -164,8 +164,8 @@ def test_certify_scalar_sweep_matches_factored_bound(lam, k_max, r):
     for k in range(1, k_max + 1):
         ppp = 1
         for p in arith.prime_factors(b):
-            ppp *= p ** arith.tau_p(p, k)
-        bound = b**k * arith.lcm_upto(k) ** (r - 1) * ppp
+            ppp *= p ** checks.tau_p(p, k)
+        bound = b**k * checks.lcm_upto(k) ** (r - 1) * ppp
         want.append(bound % falling.psi_scalar(lam, k, r) == 0)
     assert falling.certify_scalar_sweep(lam, k_max, r) == want
 

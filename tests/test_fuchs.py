@@ -13,13 +13,11 @@ from factcancel.fuchs import (
     FuchsianSystem,
     PolyMat,
     certify_system,
-    operator_identity_14,
-    operator_identity_16,
-    operator_identity_24,
     qn_recurrence,
     qn_via_brackets,
     simultaneous_eigenbasis,
 )
+from factcancel.checks import operator_identity_14, operator_identity_16, operator_identity_24
 from factcancel.matfun import MatQ, _integer_form, commuting_check
 from factcancel.poly import UniPoly
 

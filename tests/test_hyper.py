@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factcancel import arith, catalog, hyper
+from factcancel import arith, catalog, checks, hyper
 from factcancel.errors import (
     ConditionsFailed,
     EpsilonOutOfRange,
@@ -58,16 +58,17 @@ def test_vieta():
 
 @pytest.mark.parametrize("p", catalog.HYPER_CATALOG)
 def test_series_satisfies_system(p):
-    assert hyper.system_residual(p, 25)
+    assert hyper.system_residual(p, hyper.build_system(p), 25)
 
 
 @pytest.mark.parametrize("N", [0, -1])
 def test_system_residual_rejects_empty_range(N):
     with pytest.raises(ValueError):
-        hyper.system_residual(catalog.HYPER_M1, N)
+        p = catalog.HYPER_M1
+        hyper.system_residual(p, hyper.build_system(p), N)
 
 
-def test_system_residual_rejects_a_perturbed_residue(monkeypatch):
+def test_system_residual_rejects_a_perturbed_residue():
     # moving any one entry of either residue by 1/7 breaks the identity
     p = catalog.HYPER_M2
     system = hyper.build_system(p)
@@ -80,8 +81,7 @@ def test_system_residual_rejects_a_perturbed_residue(monkeypatch):
                 residues = list(system.residues)
                 residues[pole] = MatQ(rows)
                 bumped = replace(system, residues=tuple(residues))
-                monkeypatch.setattr(hyper, "build_system", lambda _: bumped)
-                assert not hyper.system_residual(p, 5)
+                assert not hyper.system_residual(p, bumped, 5)
 
 
 def test_build_system_m1_entries():
@@ -125,12 +125,12 @@ def test_repeated_beta_raises():
 def test_projector_relations(p):
     forms = hyper.adjoint_system(p)
     for n2 in (1, 2, 3, 5):
-        assert hyper.projector_relations(forms, n2)
+        assert checks.projector_relations(forms, n2)
 
 
 @pytest.mark.parametrize("n1,n2", [(0, 0), (1, 0), (0, 1), (3, 2), (5, 5), (7, 1)])
 def test_partial_fraction_identity(n1, n2):
-    assert hyper.partial_fraction_identity(n1, n2)
+    assert checks.partial_fraction_identity(n1, n2)
 
 
 @pytest.mark.parametrize("p", catalog.HYPER_CATALOG)
@@ -195,7 +195,7 @@ def test_gamma_zero_bound_needs_b_smooth_a():
 
 
 def test_g_class_phi_m1():
-    est = hyper.g_class_phi(catalog.HYPER_M1)
+    est = checks.g_class_phi(catalog.HYPER_M1)
     assert est.q1 == 3 and est.q2 == 2 and est.b == 6
     with mpmath.workdps(45):
         assert abs(est.Phi - mpmath.e**2 / 2) < mpmath.mpf(10) ** -40
@@ -203,12 +203,12 @@ def test_g_class_phi_m1():
 
 def test_phi_empirical():
     for p in catalog.HYPER_CATALOG:
-        assert hyper.phi_empirical_check(p, 40)
+        assert checks.phi_empirical_check(p, 40)
 
 
 @pytest.mark.parametrize("p", catalog.HYPER_CATALOG)
 def test_wronskian(p):
-    rep = hyper.wronskian_checks(p)
+    rep = checks.wronskian_checks(p)
     assert rep.trace_ok
     assert rep.residual_zero
     sa, sb = hyper.vieta(p)
@@ -280,6 +280,18 @@ def test_theorem6_verdict_flips_at_inequality():
             assert rep.measure_exponent == rep.eta0
 
 
+def test_theorem6_indecisive_when_the_precision_cannot_separate():
+    # a2 = floor(C0^(10/7)) sits just below the m = 1 threshold a2^0.7 > C0:
+    # 50 digits decide it (not irrational), 10 digits leave the intervals
+    # overlapping, and an undecided verdict claims nothing
+    xi = F(1, 5892916322298416128)
+    assert hyper.theorem6(catalog.HYPER_M1, xi, F(1, 10)).decisive
+    rep = hyper.theorem6(catalog.HYPER_M1, xi, F(1, 10), digits=10)
+    assert (rep.irrational, rep.decisive) == (False, False)
+    assert rep.eta0 is None
+    assert rep.measure_exponent is None
+
+
 def test_theorem6_errors():
     p = catalog.HYPER_M1
     with pytest.raises(XiZero):
@@ -347,7 +359,7 @@ def _theorem6_oracle(params, xi, eps):
         H = hyper._height(params)
         e = mpmath.mpf(eps.numerator) / eps.denominator
         base = 8 * b0 * mpmath.mpf(H.numerator) / H.denominator * mpmath.e ** (
-            arith.chi(b0, 120) + 3
+            checks.chi(b0, 120) + 3
         )
         expo = 1 + e + (2 - (m - 1) * e) / (e**m * factorial(m - 1))
         C0 = base ** (e * (1 - mpmath.log(e))) * Phi**expo

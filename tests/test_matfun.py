@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factcancel import catalog, falling, matfun
+from factcancel import catalog, checks, falling, matfun
+from factcancel.checks import (
+    bracket,
+    bracket_commuting_identity,
+    bracket_sum_identity,
+    conjugation_check,
+    jordan_block_delta,
+    matrix_falling,
+    min_poly,
+)
 from factcancel.errors import (
     DimensionMismatch,
     IrrationalSpectrum,
@@ -15,17 +24,10 @@ from factcancel.errors import (
 )
 from factcancel.matfun import (
     MatQ,
-    bracket,
-    bracket_commuting_identity,
-    bracket_sum_identity,
     bracket_table,
     char_poly,
     commuting_check,
-    conjugation_check,
-    jordan_block_delta,
     matrix_delta_table,
-    matrix_falling,
-    min_poly,
     rational_roots_monic,
     spectral,
 )
@@ -109,7 +111,7 @@ def test_rational_roots_leaves_irrational_factor():
 def test_spectral_reconstructs(i):
     A = catalog.matrix_catalog()[i]
     data = spectral(A)
-    J = data.jordan_form()
+    J = checks.jordan_form(data)
     assert data.jordan_T @ J @ data.jordan_T_inv == A
     assert sum(sum(s) for s in data.block_sizes) == A.size
 
@@ -290,8 +292,8 @@ def test_matrix_falling_scalar_consistency():
     # diagonal matrix: matrix falling factorial acts entrywise
     D = MatQ.diagonal([F(1, 2), F(-2, 3)])
     M = matrix_falling(D, 5)
-    assert M[0, 0] == falling.falling(F(1, 2), 5)
-    assert M[1, 1] == falling.falling(F(-2, 3), 5)
+    assert M[0, 0] == checks.falling(F(1, 2), 5)
+    assert M[1, 1] == checks.falling(F(-2, 3), 5)
 
 
 int_mats = st.integers(1, 4).flatmap(

@@ -3,12 +3,8 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factcancel.poly import (
-    MultiPoly,
-    UniPoly,
-    differentiate_scaled,
-    integer_content_denominator,
-)
+from factcancel.checks import differentiate_scaled
+from factcancel.poly import MultiPoly, UniPoly, integer_content_denominator
 
 rats = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 unipolys = st.lists(rats, min_size=0, max_size=5).map(lambda cs: UniPoly(tuple(cs)))
