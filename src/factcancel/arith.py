@@ -225,6 +225,15 @@ def common_denominator(xs: Iterable[Fraction]) -> int:
     return out
 
 
+def from_roots(roots: Iterable) -> list:
+    """Ascending coefficients of prod (x - r) over the roots, in the roots'
+    own type (int or Fraction); [1] for no roots."""
+    out = [1]
+    for r in roots:
+        out = [a - r * b for a, b in zip([0] + out, out + [0])]
+    return out
+
+
 def _most_carries(p: int, k: int) -> int:
     """The most base-p carries over all splits k0 + k1 + k2 = k >= 0, for a
     prime p, read digit by digit from the units up.

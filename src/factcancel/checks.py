@@ -161,7 +161,8 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 def min_poly(A: MatQ) -> UniPoly:
     """Monic minimal polynomial, found as the first linear dependence among
     E, A, A^2, ... in the n^2-dimensional matrix space.  Kept independent of
-    matfun.spectral, as the oracle for SpectralData.min_poly."""
+    matfun.spectral, as the oracle for its eigenvalues and minpoly_mults:
+    the minimal polynomial is prod (x - lambda)^(r_lambda)."""
     n = A.size
     powers = [MatQ.identity(n)]
     vecs = [[x for r in powers[0].rows for x in r]]
@@ -269,11 +270,20 @@ def bracket_commuting_identity(mats: list[MatQ], n_index: tuple) -> bool:
 # Fuchsian operator identities (14), (16), (24)
 
 
+def _flat(R: PolyMat) -> tuple[list, int]:
+    """The start (N_0, D_0) of fuchs._scaled_qn with R = N_0 / D_0, the
+    inverse of fuchs._polymat: N_0[r][d m + j] is D_0 times the z^d
+    coefficient of entry (r, j)."""
+    D = R.coeff_denominator()
+    width = max([1] + [len(e.coeffs) for row in R.rows for e in row])
+    return [[int(e[d] * D) for d in range(width) for e in row] for row in R.rows], D
+
+
 def operator_identity_14(lam: Fraction, f: UniPoly, n: int) -> bool:
     """Single pole at 0: z^n (d/dz + lam/z)^n f equals
     sum_l C(n,l) <lam>_l z^{n-l} f^{(n-l)}, exactly."""
     system = FuchsianSystem(m=1, gammas=(Fraction(0),), residues=(MatQ([[lam]]),))
-    for N, D in _scaled_qn(system, n, PolyMat([[f]])):
+    for N, D in _scaled_qn(system, n, _flat(PolyMat([[f]]))):
         pass
     G = _polymat(N, D, factorial(n))[0, 0]
     rhs = UniPoly.zero()
@@ -295,7 +305,7 @@ def operator_identity_16(lams, gammas, f: UniPoly, n: int) -> bool:
     system = FuchsianSystem(
         m=1, gammas=tuple(gammas), residues=tuple(MatQ([[lam]]) for lam in lams)
     )
-    for N, D in _scaled_qn(system, n, PolyMat([[f]])):
+    for N, D in _scaled_qn(system, n, _flat(PolyMat([[f]]))):
         pass
     G = _polymat(N, D)[0, 0]
     rhs = UniPoly.zero()
@@ -327,7 +337,7 @@ def operator_identity_24(system: FuchsianSystem, n: int) -> bool:
     for d in range(2 * n + 1):
         # lhs: T^n D^n (z^d E) / n! is the transpose of the row-acting run
         start = PolyMat.identity(size).scale_poly(UniPoly.monomial(1, d))
-        for N, D in _scaled_qn(system, n, start):
+        for N, D in _scaled_qn(system, n, _flat(start)):
             pass
         G = _polymat(N, D).transpose()
         rhs = PolyMat([[UniPoly.zero()] * size for _ in range(size)])

@@ -2,10 +2,12 @@
 
 Contains the higher-derivative matrices T^n Q^[n] / n! as one integer
 pencil run by falling.pencil_steps (the single-pole system T = z, Q = A/z
-gives the matrix Delta_n(A)), the bracket-sum assembly of the same matrices
-(the central cross-validation oracle), and the per-k denominator certificate
-for the system.  The operator identities (14), (16) and (24), which run
-the same pencil from a start matrix, are in ``checks``.
+gives the matrix Delta_n(A)) on integer coefficient lists of T and TQ, the
+bracket-sum assembly of the same matrices (the central cross-validation
+oracle, which imports ``poly`` when it runs, as qn_recurrence does), and
+the per-k denominator certificate for the system.  The operator identities
+(14), (16) and (24), which run the same pencil from a flat start, are in
+``checks``.
 """
 
 from __future__ import annotations
@@ -32,13 +34,11 @@ from .matfun import (
     commuting_check,
     spectral,
 )
-from .poly import UniPoly, integer_content_denominator
-
-_ZERO = UniPoly.zero()
 
 
 class PolyMat:
-    """Rectangular matrix with UniPoly entries."""
+    """Rectangular matrix with UniPoly entries: the oracles' T^n Q^[n].
+    The code that builds entries imports poly, so certify never loads it."""
 
     __slots__ = ("rows",)
 
@@ -47,13 +47,16 @@ class PolyMat:
 
     @staticmethod
     def identity(n: int) -> "PolyMat":
-        one = UniPoly.one()
+        from .poly import UniPoly
+
         return PolyMat(
-            [[one if i == j else _ZERO for j in range(n)] for i in range(n)]
+            [[UniPoly.one() if i == j else UniPoly.zero() for j in range(n)] for i in range(n)]
         )
 
     @staticmethod
     def from_matq(A: MatQ) -> "PolyMat":
+        from .poly import UniPoly
+
         return PolyMat([[UniPoly.constant(e) for e in row] for row in A.rows])
 
     def __getitem__(self, ij):
@@ -85,11 +88,7 @@ class PolyMat:
         return PolyMat(list(zip(*self.rows)))
 
     def coeff_denominator(self) -> int:
-        out = 1
-        for row in self.rows:
-            for e in row:
-                out = lcm(out, integer_content_denominator(e))
-        return out
+        return lcm(*(c.denominator for row in self.rows for e in row for c in e.coeffs))
 
 
 @dataclass(frozen=True)
@@ -126,10 +125,6 @@ class FuchsianSystem:
     @property
     def npoles(self) -> int:
         return len(self.gammas)
-
-    def t_poly(self) -> UniPoly:
-        """T(z) = prod (z - gamma_i), the denominator polynomial."""
-        return UniPoly.from_roots(self.gammas)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -170,32 +165,22 @@ class FuchsianSystem:
         )
 
 
-def _tq_poly(system: FuchsianSystem) -> PolyMat:
-    """T(z)Q(z) = sum A_i prod_{j != i}(z - gamma_j), entrywise polynomial."""
-    n = system.size
-    acc = PolyMat([[UniPoly.zero()] * n for _ in range(n)])
-    for i, A in enumerate(system.residues):
-        cof = UniPoly.from_roots(
-            [g for j, g in enumerate(system.gammas) if j != i]
-        )
-        acc = acc + PolyMat.from_matq(A).scale_poly(cof)
-    return acc
-
-
 def _content(N) -> int:
     """gcd of every coefficient of a flat _scaled_qn numerator."""
     return gcd(*chain.from_iterable(N))
 
 
 def _scaled_qn(
-    system: FuchsianSystem, n_max: int, start: PolyMat = None
+    system: FuchsianSystem, n_max: int, start: tuple[list, int] = None
 ) -> Iterator[tuple[list, int]]:
     """Yield (N_n, D_n) with R_n = N_n / D_n for n = 0..n_max, where
-    R_n = T^n (d/dz + Q)^n R_0 / n! acts on rows and R_0 = start (default E,
-    which makes R_n = T^n Q^[n] / n!).
+    R_n = T^n (d/dz + Q)^n R_0 / n! acts on rows and R_0 = N_0 / D_0 for
+    start = (N_0, D_0) (default E, which makes R_n = T^n Q^[n] / n!).
 
     R_n = (T R_{n-1}' - (n-1) T' R_{n-1} + R_{n-1} TQ)/n is the pencil step
-    of falling.pencil_steps: with T = t/tau and TQ = P/tau over the integers,
+    of falling.pencil_steps: with T = prod (z - gamma_i) = t/tau and
+    TQ = sum A_i prod_{j != i} (z - gamma_j) = P/tau, ascending coefficient
+    lists over the integers with tau the lcm of their denominators,
     L0: v -> t v' + v P and L1: v -> t' v on polynomial row vectors v, so
     D_n is exactly the lcm of the coefficient denominators of R_n.  Row r of
     N_n is flat: N_n[r][d m + j] is the z^d coefficient of entry (r, j).
@@ -203,16 +188,20 @@ def _scaled_qn(
     d + (number of poles - 1), so rows up to the degree top reached at n_max
     hold every step.
     """
-    T = system.t_poly()
-    TQ = _tq_poly(system)
-    tau = lcm(integer_content_denominator(T), TQ.coeff_denominator())
-    t = [int(c * tau) for c in T.coeffs]
-    P = [[[int(c * tau) for c in e.coeffs] for e in row] for row in TQ.rows]
+    gammas = system.gammas
+    T = arith.from_roots(gammas)
+    cofactors = [arith.from_roots(gammas[:i] + gammas[i + 1 :]) for i in range(len(gammas))]
     m = system.size
-    R = PolyMat.identity(m) if start is None else start
-    D = R.coeff_denominator()
-    width = max([1] + [len(e.coeffs) for row in R.rows for e in row])
-    N = [[int(e[d] * D) for d in range(width) for e in row] for row in R.rows]
+    TQ = [
+        [[sum(A[l, j] * c for A, c in zip(system.residues, cs)) for cs in zip(*cofactors)]
+         for j in range(m)]
+        for l in range(m)
+    ]
+    tau = arith.common_denominator(chain(T, *chain.from_iterable(TQ)))
+    t = [c.numerator * (tau // c.denominator) for c in T]
+    P = [[[c.numerator * (tau // c.denominator) for c in e] for e in row] for row in TQ]
+    N, D = start or ([[int(i == j) for j in range(m)] for i in range(m)], 1)
+    width = len(N[0]) // m
     top = width + n_max * (len(t) - 2)
     rows = []
     for d in range(top):
@@ -233,6 +222,8 @@ def _scaled_qn(
 
 def _polymat(N: list, D: int, c: int = 1) -> PolyMat:
     """The PolyMat c N / D of a flat _scaled_qn numerator."""
+    from .poly import UniPoly
+
     m = len(N)
     return PolyMat(
         [[UniPoly([Fraction(c * x, D) for x in row[j::m]]) for j in range(m)] for row in N]
@@ -249,6 +240,8 @@ def qn_recurrence(system: FuchsianSystem, n: int) -> PolyMat:
 def qn_via_brackets(system: FuchsianSystem, n: int) -> PolyMat:
     """T^n Q^[n] assembled from the bracket expansion of the derivatives:
     transpose of sum over |n| = n of <tA_1..tA_s>_n prod (z-gamma_i)^{n-n_i}."""
+    from .poly import UniPoly
+
     s = system.npoles
     size = system.size
     tmats = [A.transpose() for A in system.residues]
@@ -281,7 +274,7 @@ def simultaneous_eigenbasis(mats: list[MatQ]) -> MatQ:
     # (eigenvalue of each B so far, integer basis of the common eigenspace)
     spaces = [((), [[int(i == j) for i in range(size)] for j in range(size)])]
     for B in ints:
-        _, roots, rest = _eigenvalues(B)
+        roots, rest = _eigenvalues(B)
         if len(rest) > 1:
             raise IrrationalSpectrum("non-rational eigenvalue")
         nxt = []

@@ -35,7 +35,6 @@ from .errors import (
     RepeatedBeta,
     XiZero,
 )
-from .poly import UniPoly
 
 
 def _fr(x) -> Fraction:
@@ -117,10 +116,7 @@ def vieta(params: HyperParams) -> tuple[list[Fraction], list[Fraction]]:
     from the expansions of prod (z + alpha_i) and prod (z + beta_j)."""
 
     def sigmas(vals):
-        p = UniPoly.one()
-        for v in vals:
-            p = p * UniPoly((v, 1))
-        return [p[len(vals) - l] for l in range(1, len(vals) + 1)]
+        return arith.from_roots(-v for v in vals)[-2::-1]
 
     return sigmas(params.alpha), sigmas(params.beta)
 
@@ -225,15 +221,8 @@ def adjoint_system(params: HyperParams) -> SpectralForms:
     A1, A2 = adjoint_matrices(params)
     beta = params.beta
     # column j: sigma_{m-1-l}(beta with beta_j removed), top to bottom
-    T = [[Fraction(0)] * m for _ in range(m)]
-    for j in range(m):
-        others = [beta[k] for k in range(m) if k != j]
-        p = UniPoly.one()
-        for v in others:
-            p = p * UniPoly((v, 1))
-        for l in range(m):
-            T[l][j] = p[l]
-    T = MatQ(T)
+    columns = [arith.from_roots(-beta[k] for k in range(m) if k != j) for j in range(m)]
+    T = MatQ(list(zip(*columns)))
     T_inv = [[Fraction(0)] * m for _ in range(m)]
     for l in range(m):
         d = Fraction(1)

@@ -1,11 +1,12 @@
 """Exact linear algebra over Q.
 
-Characteristic and minimal polynomials, Jordan decomposition for matrices
-with rational spectrum (computed fraction-free on the integer matrix qA),
-the matrix binomial polynomials Delta_n(A), the table of the
-noncommutative multivariate falling-factorial bracket, and the per-k
-denominator certificate psi_k | t1 t2 b^k d_k^{r-1} prod p^{tau_p(k)}.
-The bracket identities, min_poly and the Jordan form are in ``checks``.
+Jordan decomposition for matrices with rational spectrum (computed
+fraction-free on the integer matrix qA, as integer coefficient lists), the
+matrix binomial polynomials Delta_n(A), the table of the noncommutative
+multivariate falling-factorial bracket, and the per-k denominator
+certificate psi_k | t1 t2 b^k d_k^{r-1} prod p^{tau_p(k)}.  The oracles
+char_poly and rational_roots_monic import ``poly`` when they run; the
+bracket identities, min_poly and the Jordan form are in ``checks``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from math import gcd, lcm
 from . import arith, falling
 from .certificate import CancellationCertificate, certify
 from .errors import DimensionMismatch, IrrationalSpectrum, SingularT
-from .poly import UniPoly
 
 _ZERO = Fraction(0)
 
@@ -336,7 +336,10 @@ def _char_poly_int(B: list[list[int]]) -> list[int]:
 
 def _over_powers(coeffs: list[int], q: int) -> UniPoly:
     """p(x) = c(qx)/q^deg for the integer polynomial c = coeffs: the monic
-    rational form of a polynomial scaled by y = qx."""
+    rational form of a polynomial scaled by y = qx.  Only the oracles build
+    polynomial objects, so poly is imported here, not by spectral."""
+    from .poly import UniPoly
+
     d = len(coeffs) - 1
     return UniPoly([Fraction(c, q ** (d - i)) for i, c in enumerate(coeffs)])
 
@@ -415,13 +418,12 @@ def _integer_roots(coeffs: list[int], bound: int) -> tuple[dict[int, int], list[
     return roots, cur
 
 
-def _eigenvalues(B: list[list[int]]) -> tuple[list[int], dict[int, int], list[int]]:
-    """det(yE - B) for the integer matrix B, its integer roots (the integer
+def _eigenvalues(B: list[list[int]]) -> tuple[dict[int, int], list[int]]:
+    """The integer roots of det(yE - B) for the integer matrix B (the integer
     eigenvalues, with algebraic multiplicity) and its rootless factor.
     Every eigenvalue is bounded by the largest absolute row sum of B."""
-    cp = _char_poly_int(B)
     bound = max(sum(abs(a) for a in row) for row in B)
-    return (cp,) + _integer_roots(cp, bound)
+    return _integer_roots(_char_poly_int(B), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +474,6 @@ class SpectralData:
     minpoly_mults: tuple  # r_l = largest Jordan block per eigenvalue
     block_sizes: tuple  # tuple of tuples, per eigenvalue, descending
     r_max: int
-    char_poly: UniPoly
-    min_poly: UniPoly
     jordan_T: MatQ
     jordan_T_inv: MatQ
     t1: int
@@ -532,7 +532,7 @@ def spectral(A: MatQ) -> SpectralData:
     checked as B T == T (qJ) and T T^-1 == E over Z."""
     n = A.size
     q, B = _integer_form(A)
-    cp, roots, rest = _eigenvalues(B)
+    roots, rest = _eigenvalues(B)
     if len(rest) > 1:
         raise IrrationalSpectrum(
             f"characteristic polynomial has a non-rational factor of degree {len(rest) - 1}"
@@ -556,10 +556,6 @@ def spectral(A: MatQ) -> SpectralData:
     X, d = _inverse(T)
     if _mat_mul(T, X) != [[d if i == j else 0 for j in range(n)] for i in range(n)]:
         raise AssertionError("Jordan reconstruction failed")
-    mp = [1]
-    for mu, r_l in zip(roots, mults):
-        for _ in range(r_l):
-            mp = [a - mu * b for a, b in zip([0] + mp, mp + [0])]
     eigenvalues = tuple(Fraction(mu, q) for mu in roots)
     jordan_T = MatQ(T)
     jordan_T_inv = MatQ([[Fraction(x, d) for x in row] for row in X])
@@ -568,8 +564,6 @@ def spectral(A: MatQ) -> SpectralData:
         minpoly_mults=tuple(mults),
         block_sizes=tuple(block_sizes),
         r_max=max(mults),
-        char_poly=_over_powers(cp, q),
-        min_poly=_over_powers(mp, q),
         jordan_T=jordan_T,
         jordan_T_inv=jordan_T_inv,
         t1=jordan_T.entry_denominator(),

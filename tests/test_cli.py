@@ -30,12 +30,13 @@ _MATRIX_JSON = [["1/2", "1/3"], ["0", "1/5"]]
 _SYSTEM_JSON = {"gammas": ["0", "1"], "residues": [[["1/2", "0"], ["0", "1/3"]], [["1/4", "0"], ["0", "1/5"]]]}
 _BASE = {"factcancel", "factcancel.arith", "factcancel.cli", "factcancel.errors"}
 _SCALAR = _BASE | {"factcancel.certificate", "factcancel.falling"}
-_MATRIX = _SCALAR | {"factcancel.matfun", "factcancel.poly"}
+# production families build integer coefficient lists: only the oracles load poly
+_MATRIX = _SCALAR | {"factcancel.matfun"}
 _FUCHSIAN = _MATRIX | {"factcancel.fuchs"}
 # hyper series, conditions and theorem6 build no certificate and no matrix system
-_HYPER = _BASE | {"factcancel.hyper", "factcancel.poly"}
+_HYPER = _BASE | {"factcancel.hyper"}
 # only verify loads the paper's checks
-_ALL = _FUCHSIAN | _HYPER | {"factcancel.catalog", "factcancel.checks", "factcancel.constcoef"}
+_ALL = _FUCHSIAN | _HYPER | {"factcancel.catalog", "factcancel.checks", "factcancel.constcoef", "factcancel.poly"}
 
 
 def _env():
@@ -61,7 +62,12 @@ def _modules_after(code, *argv):
         (["certify", "scalar", "--lambda", "1/2", "--k", "50"], None, _SCALAR),
         (["certify", "matrix", "--k", "40"], _MATRIX_JSON, _MATRIX),
         (["certify", "fuchsian", "--k", "12"], _SYSTEM_JSON, _FUCHSIAN),
-        (["certify", "constcoef", "--k", "25"], _MATRIX_JSON, _MATRIX | {"factcancel.constcoef"}),
+        # LinearDiffOp's MultiPoly: ROADMAP item 2 decides whether it stays in production
+        (
+            ["certify", "constcoef", "--k", "25"],
+            _MATRIX_JSON,
+            _MATRIX | {"factcancel.constcoef", "factcancel.poly"},
+        ),
         (["hyper", "series", "--alpha", "1/3", "--beta", "1/2", "--N", "10"], None, _HYPER),
         (["hyper", "conditions", "--alpha", "1/3", "--beta", "1/2"], None, _HYPER),
         (["hyper", "system", "--alpha", "1/3", "--beta", "1/2", "--N", "40"], None, _FUCHSIAN | _HYPER),

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factcancel import catalog, falling, fuchs
@@ -80,6 +80,25 @@ def _systems(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_systems(), st.integers(0, 6))
+# integer poles, so tau comes only from TQ (a residue entry of denominator 7)
+@example(
+    FuchsianSystem(
+        m=2,
+        gammas=(F(0), F(1), F(-2)),
+        residues=(MatQ([[F(1, 7), 1], [0, F(1, 2)]]), MatQ([[1, 0], [F(2, 3), 0]]), MatQ.identity(2)),
+    ),
+    5,
+)
+# pole denominators sharing primes: T = z^3 - 7/12 z^2 - 7/72 z + 1/36 needs
+# a 9 that neither their lcm 12 nor TQ supplies
+@example(
+    FuchsianSystem(
+        m=2,
+        gammas=(F(1, 6), F(-1, 4), F(2, 3)),
+        residues=(MatQ([[F(1, 5), 0], [1, 0]]), MatQ([[0, 9], [0, F(9, 2)]]), MatQ([[1, 1], [0, F(1, 2)]])),
+    ),
+    4,
+)
 def test_scaled_qn_matches_bracket_oracle(system, n):
     # the integer generator against the bracket expansion divided by n!;
     # row r of N holds the z^d coefficient of entry (r, j) at d m + j
