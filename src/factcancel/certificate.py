@@ -1,6 +1,7 @@
 """The per-k exact certificate, and the one pass that assembles it for every
 family from a spec: a stream of denominators D_n, b, the bound's base and
-d_k exponent, a scale and the constant's shift."""
+d_k exponent, a scale and the constant's shift (b None for a certificate
+that only measures)."""
 
 from __future__ import annotations
 
@@ -147,11 +148,14 @@ def certificate_steps(
 
 
 def certify(
-    k: int, dens: Iterable[int], b: int, base=1, d_exp=0, scale=1, shift=0
+    k: int, dens: Iterable[int], b: Optional[int], base=1, d_exp=0, scale=1, shift=0
 ) -> CancellationCertificate:
     """The certificate at k >= 1: psi_k against scale bound_k, with the
     constant growth_constant(base, b, shift), whose scale is always the
-    bound's per-k base."""
+    bound's per-k base.  With b None it only measures: psi_k is the lcm of
+    D_0..D_k, with no bound and no constant."""
+    if b is None:
+        return make_certificate(k, lcm(*dens), None)
     for psi, bound in certificate_steps(dens, b, k, base, d_exp):
         pass
     return make_certificate(k, psi, scale * bound, growth_constant(base, b, shift))

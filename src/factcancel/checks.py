@@ -391,10 +391,10 @@ def partial_fraction_identity(n1: int, n2: int) -> bool:
 
 
 def g_class_phi(params: hyper.HyperParams, digits: int = arith.DEFAULT_DIGITS):
-    """The G-class data of the series, with Phi = e^{rho(b_1) + ... +
-    rho(b_m)} q1/b, b_j = den(beta_j), the midpoint of the enclosure that
-    theorem6 decides with, at `digits` decimal digits."""
-    return hyper._phi_enclosure(params, digits)[0]
+    """Phi = e^{rho(b_1) + ... + rho(b_m)} q1/b, b_j = den(beta_j): the
+    midpoint of the enclosure that theorem6 decides with, at `digits`
+    decimal digits."""
+    return hyper._mid(hyper._phi_enclosure(params, digits))
 
 
 def phi_empirical_check(params: hyper.HyperParams, k: int) -> bool:

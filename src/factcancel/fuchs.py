@@ -20,7 +20,7 @@ from math import factorial, gcd, lcm, prod
 from typing import Iterator
 
 from . import arith, falling
-from .certificate import CancellationCertificate, certify, make_certificate
+from .certificate import CancellationCertificate, certify
 from .errors import DimensionMismatch, IrrationalSpectrum, SingularT
 from .matfun import (
     MatQ,
@@ -322,7 +322,7 @@ def certify_system(system: FuchsianSystem, k: int) -> CancellationCertificate:
         except IrrationalSpectrum:
             pass
     if datas is None:
-        return make_certificate(k, lcm(*dens), None)
+        return certify(k, dens, None)
     b = lcm(*(data.b for data in datas))
     q = prod(g.denominator for g in system.gammas)
     r_max = max(data.r_max for data in datas)

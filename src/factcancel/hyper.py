@@ -291,7 +291,7 @@ class Lemma11Certificate:
 
 
 def certify_lemma11(params: HyperParams, k: int) -> Lemma11Certificate:
-    from .certificate import certify, make_certificate
+    from .certificate import certify
     from .fuchs import FuchsianSystem, _content, _scaled_qn
 
     if k < 1:
@@ -301,20 +301,20 @@ def certify_lemma11(params: HyperParams, k: int) -> Lemma11Certificate:
     gamma_zero = g == 0
     a = arith.common_denominator(forms.a)
     b = arith.common_denominator((g,) + params.beta)
+    d_exp, shift = (1, 3) if gamma_zero else (0, 2)
+    scale = arith.g_k(k) * a
     brackets = FuchsianSystem(params.m, (0, 1), (forms.B1.transpose(), forms.B2.transpose()))
     dens = (
         D if gamma_zero else (g * Fraction(_content(N), D)).denominator
         for N, D in _scaled_qn(brackets, k)
     )
-    inner = certify(
-        k, dens, b, d_exp=int(gamma_zero), scale=arith.g_k(k) * a, shift=3 if gamma_zero else 2
-    )
+    inner = certify(k, dens, b, d_exp=d_exp, scale=scale, shift=shift)
     # the outer psi is certify_system's psi_k on the adjoint system (A1 at 0,
-    # A2 at 1), measured without the system bound that certify_system builds
-    psi_outer = lcm(*(D for _, D in _scaled_qn(adjoint_fuchsian(params), k)))
+    # A2 at 1), against t1 t2 times the inner bound, with the inner constant
     t1 = forms.T.entry_denominator()
     t2 = forms.T_inv.entry_denominator()
-    outer = make_certificate(k, psi_outer, t1 * t2 * inner.bound_k, inner.asymptotic_constant)
+    dens = (D for _, D in _scaled_qn(adjoint_fuchsian(params), k))
+    outer = certify(k, dens, b, d_exp=d_exp, scale=t1 * t2 * scale, shift=shift)
     return Lemma11Certificate(
         inner=inner, outer=outer, gamma_zero=gamma_zero, a=a, b=b, t1=t1, t2=t2
     )
@@ -343,35 +343,19 @@ def _mid(x):
     return mpmath.mp.make_mpf(x.mid._mpi_[0])
 
 
-@dataclass(frozen=True)
-class GClassEstimate:
-    """Geometric-growth data of the series: common denominators of the
-    coefficients f_0..f_k grow like Phi^k inside the unit disk."""
-
-    radius: int
-    Phi: object
-    b: int
-    q1: int
-    q2: int
-    b_js: tuple
-    digits: int = arith.DEFAULT_DIGITS
-
-
-def _phi_enclosure(params: HyperParams, digits: int) -> tuple[GClassEstimate, object]:
-    """The G-class data, with Phi the midpoint, and the interval enclosure
-    of Phi in the private interval context at `digits` digits."""
+def _phi_enclosure(params: HyperParams, digits: int):
+    """The enclosure of Phi = e^{rho(b_1) + ... + rho(b_m)} q1/b, b_j =
+    den(beta_j), q1 = prod den(alpha_i), b = lcm(q1, prod b_j), in the
+    private interval context at `digits` digits: the common denominators of
+    the series coefficients f_0..f_k grow like Phi^k."""
     iv = _interval_context(digits)
     q1 = prod(al.denominator for al in params.alpha)
-    q2 = prod(be.denominator for be in params.beta)
-    b = lcm(q1, q2)
-    b_js = tuple(be.denominator for be in params.beta)
+    b = lcm(q1, prod(be.denominator for be in params.beta))
     rho = iv.mpf(0)
-    for bj in b_js:
-        r = arith.rho_exact(bj)
+    for be in params.beta:
+        r = arith.rho_exact(be.denominator)
         rho += iv.mpf(r.numerator) / r.denominator
-    phi = iv.exp(rho) * q1 / b
-    est = GClassEstimate(radius=1, Phi=_mid(phi), b=b, q1=q1, q2=q2, b_js=b_js, digits=digits)
-    return est, phi
+    return iv.exp(rho) * q1 / b
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +543,11 @@ def theorem6(
     den = (1-(m+2)eps) ln a2 - ln C0 - (2-(m+1)eps) ln|a1|, are each
     enclosed once, at `digits` decimal digits; the report carries the
     midpoints of those enclosures.  den is the log-margin of the verdict,
-    and eta0 is None unless den is provably positive.
+    and eta0 is None unless den is provably positive.  The verdict is
+    decided when either the comparison of a2^{1-(m+2)eps} with the right
+    side or the enclosure of den separates; the comparison in exp space can
+    separate where den's enclosure cannot, so irrational=True with
+    eta0=None stays possible.
     """
     xi = _fr(xi)
     epsilon = _fr(epsilon)
@@ -577,7 +565,7 @@ def theorem6(
     b0 = arith.common_denominator((params.gamma(),) + params.beta)
     H = _height(params)
     iv = _interval_context(digits)
-    est, ivPhi = _phi_enclosure(params, digits)
+    ivPhi = _phi_enclosure(params, digits)
     ivH = iv.mpf(H.numerator) / H.denominator
     iv_chi = iv.mpf(0)
     for p in arith.prime_factors(b0):
@@ -592,18 +580,15 @@ def theorem6(
     ivC0 = iv.exp(ln_base) * iv.exp(ln_phi)
     ln_a2 = iv.log(iv.mpf(a2))
     ln_a1 = iv.log(iv.mpf(abs(a1)))
-    # outward-rounded decision
-    lhs = iv.exp(ln_a2 * (1 - (m + 2) * iv_eps))
-    rhs = ivC0 * iv.exp(ln_a1 * (2 - (m + 1) * iv_eps))
-    if lhs.a > rhs.b:
-        irrational, decisive = True, True
-    elif lhs.b < rhs.a:
-        irrational, decisive = False, True
-    else:
-        irrational, decisive = False, False
     ln_c0 = ln_base + ln_phi
     num = (1 + iv_eps) * ln_a2 + ln_c0
     den = (1 - (m + 2) * iv_eps) * ln_a2 - ln_c0 - (2 - (m + 1) * iv_eps) * ln_a1
+    # outward-rounded decision: lhs > rhs and den > 0 are one inequality,
+    # enclosed twice, and either enclosure that separates decides it
+    lhs = iv.exp(ln_a2 * (1 - (m + 2) * iv_eps))
+    rhs = ivC0 * iv.exp(ln_a1 * (2 - (m + 1) * iv_eps))
+    irrational = lhs.a > rhs.b or den.a > 0
+    decisive = irrational or lhs.b < rhs.a or den.b < 0
     # den is the verdict's log-margin: eta0 is an exponent only where den > 0
     eta0 = _mid(num / den) if den.a > 0 else None
     measure = eta0 if irrational else None
@@ -611,7 +596,7 @@ def theorem6(
         conditions=conditions,
         b0=b0,
         H=H,
-        Phi=est.Phi,
+        Phi=_mid(ivPhi),
         C0=_mid(ivC0),
         eta0=eta0,
         xi=xi,

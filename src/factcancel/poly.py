@@ -157,14 +157,6 @@ class UniPoly:
         return UniPoly(cs)
 
 
-def integer_content_denominator(f: UniPoly) -> int:
-    """lcm of the coefficient denominators; 1 for the zero polynomial."""
-    out = 1
-    for c in f.coeffs:
-        out = lcm(out, c.denominator)
-    return out
-
-
 class MultiPoly:
     """Sparse multivariate polynomial over Q in a fixed number of variables;
     keys are exponent tuples, zero coefficients are never stored."""

@@ -103,3 +103,4 @@ def test_lemma11_bound_formulas(params, gamma_zero, k):
     cert = hyper.certify_lemma11(params, k)
     assert cert.inner.bound_k == inner
     assert cert.outer.bound_k == outer
+    assert cert.outer.asymptotic_constant == cert.inner.asymptotic_constant

@@ -108,3 +108,5 @@ def test_one_pass_is_running_lcm_against_bound_steps(data, b, base, d_exp, k, sc
     psi, bound = steps[-1]
     want = make_certificate(k, psi, scale * bound, growth_constant(base, b, shift))
     assert certify(k, iter(dens), b, base, d_exp, scale, shift) == want
+    # with no b the certificate only measures psi_k, the lcm of D_0..D_k
+    assert certify(k, iter(dens[: k + 1]), None) == make_certificate(k, psi, None)

@@ -195,10 +195,9 @@ def test_gamma_zero_bound_needs_b_smooth_a():
 
 
 def test_g_class_phi_m1():
-    est = checks.g_class_phi(catalog.HYPER_M1)
-    assert est.q1 == 3 and est.q2 == 2 and est.b == 6
+    Phi = checks.g_class_phi(catalog.HYPER_M1)
     with mpmath.workdps(45):
-        assert abs(est.Phi - mpmath.e**2 / 2) < mpmath.mpf(10) ** -40
+        assert abs(Phi - mpmath.e**2 / 2) < mpmath.mpf(10) ** -40
 
 
 def test_phi_empirical():
@@ -290,6 +289,19 @@ def test_theorem6_indecisive_when_the_precision_cannot_separate():
     assert (rep.irrational, rep.decisive) == (False, False)
     assert rep.eta0 is None
     assert rep.measure_exponent is None
+
+
+def test_theorem6_decides_on_the_log_margin_when_the_comparison_straddles():
+    # near the m = 1 threshold at 4 digits, the enclosures of a2^(5/8) and
+    # C0 |a1|^(7/4) overlap while the log-margin den is provably positive:
+    # the verdict is irrational, as it is at 100 digits
+    xi = F(3, 11425570287036817117)
+    rep = hyper.theorem6(catalog.HYPER_M1, xi, F(1, 8), digits=4)
+    assert (rep.irrational, rep.decisive) == (True, True)
+    assert rep.eta0 is not None
+    assert rep.measure_exponent == rep.eta0
+    hi = hyper.theorem6(catalog.HYPER_M1, xi, F(1, 8), digits=100)
+    assert (hi.irrational, hi.decisive) == (True, True)
 
 
 def test_theorem6_errors():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from factcancel.checks import differentiate_scaled
-from factcancel.poly import MultiPoly, UniPoly, integer_content_denominator
+from factcancel.poly import MultiPoly, UniPoly
 
 rats = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 unipolys = st.lists(rats, min_size=0, max_size=5).map(lambda cs: UniPoly(tuple(cs)))
@@ -53,7 +53,7 @@ def test_differentiate_scaled_binomial():
     p = UniPoly.monomial(1, 7)
     out = differentiate_scaled(p, 3)
     assert out == UniPoly.monomial(35, 4)
-    assert integer_content_denominator(out) == 1
+    assert all(c.denominator == 1 for c in out.coeffs)
 
 
 @given(
