@@ -48,7 +48,8 @@ def main() -> int:
         print(f"C0 ~ {t6.C0}")
         print(f"f({args.xi}) irrational (decisive={t6.decisive}):", t6.irrational)
         if t6.irrational:
-            print(f"irrationality measure exponent eta0 = {t6.measure_exponent}")
+            measure = t6.to_dict()["measure_exponent"]
+            print(f"irrationality measure exponent (eta0, rounded up) <= {measure}")
     return 0 if certified else 1
 
 

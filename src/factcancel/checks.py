@@ -470,7 +470,7 @@ def monomial_integrality_check(B: MatQ, s: int, degree_cap: int) -> bool:
     op = op.scale(Fraction(1, factorial(s)))
     for d in range(degree_cap + 1):
         for expo in _compositions(d, m):
-            if not op.apply(MultiPoly.monomial(m, expo)).is_integral():
+            if not constcoef.apply(op, MultiPoly.monomial(m, expo)).is_integral():
                 return False
     return True
 

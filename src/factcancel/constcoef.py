@@ -1,187 +1,101 @@
 """Polynomial-ring differential-operator calculus for constant matrices.
 
-The derivation [A] = sum_{l,j} A_{lj} y_j d/dy_l on Q[y_1..y_m], the
-commutative symbol product of such operators, their true composition in
-normal form (which obeys [B] o [A] = [AB] + [A].[B]), the iterated
-composition with shifted scalars, its partition expansion after division by
-n!, and the resulting exact denominator certificate for matrices with
-rational spectrum and squarefree minimal polynomial.
+A normal-ordered operator sum c_mu(y) d^mu on Q[y_1..y_m] is its symbol, a
+poly.MultiPoly in y_1..y_m then w_1..w_m (w_l stands for d/dy_l).  The
+derivation [A] = sum_{l,j} A_{lj} y_j d/dy_l, the symbol product, true
+composition (which obeys [B] o [A] = [AB] + [A].[B]), the iterated
+composition with shifted scalars and its partition expansion after division
+by n! are Lemma 17's oracles, and import poly when they run; the exact
+denominator certificate for matrices with rational spectrum and squarefree
+minimal polynomial reads integer matrices, so `certify constcoef` never
+loads poly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
+from operator import add, mul, sub
 
 from . import falling
 from .certificate import CancellationCertificate, certify
 from .errors import RepeatedRootMinPoly
 from .matfun import MatQ, _compositions, _flag_basis, matrix_delta_table, spectral
-from .poly import MultiPoly
 
 
-class LinearDiffOp:
-    """Normal form sum_mu c_mu(y) d^mu, mu a mixed-partial multi-index over
-    the m variables and c_mu an expanded polynomial coefficient."""
+def apply(op: MultiPoly, p: MultiPoly) -> MultiPoly:
+    """The operator with symbol op applied to p: sum c y^e d^mu p."""
+    from .poly import MultiPoly
 
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms=None):
-        self.m = m
-        t = {}
-        if terms:
-            for mu, c in (terms.items() if isinstance(terms, dict) else terms):
-                mu = tuple(mu)
-                if len(mu) != m:
-                    raise ValueError("multi-index arity mismatch")
-                if not isinstance(c, MultiPoly):
-                    c = MultiPoly.constant(m, c)
-                if not c.is_zero():
-                    acc = t.get(mu)
-                    c = c if acc is None else acc + c
-                    if c.is_zero():
-                        t.pop(mu, None)
-                    else:
-                        t[mu] = c
-        self.terms = t
-
-    @staticmethod
-    def zero(m: int) -> "LinearDiffOp":
-        return LinearDiffOp(m)
-
-    @staticmethod
-    def identity(m: int) -> "LinearDiffOp":
-        return LinearDiffOp(m, {(0,) * m: MultiPoly.constant(m, 1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinearDiffOp)
-            and self.m == other.m
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"LinearDiffOp({self.m}, {self.terms!r})"
-
-    def __add__(self, other: "LinearDiffOp") -> "LinearDiffOp":
-        out = LinearDiffOp(self.m, dict(self.terms))
-        for mu, c in other.terms.items():
-            acc = out.terms.get(mu)
-            c = c if acc is None else acc + c
-            if c.is_zero():
-                out.terms.pop(mu, None)
-            else:
-                out.terms[mu] = c
-        return out
-
-    def __neg__(self) -> "LinearDiffOp":
-        return self.scale(-1)
-
-    def __sub__(self, other: "LinearDiffOp") -> "LinearDiffOp":
-        return self + (-other)
-
-    def scale(self, c) -> "LinearDiffOp":
-        return LinearDiffOp(
-            self.m, {mu: p.scale(c) for mu, p in self.terms.items()}
-        )
-
-    def shift(self, c) -> "LinearDiffOp":
-        """self + c * identity."""
-        return self + LinearDiffOp.identity(self.m).scale(c)
-
-    def apply(self, poly: MultiPoly) -> MultiPoly:
-        out = MultiPoly.zero(self.m)
-        for mu, c in self.terms.items():
-            out = out + c * poly.partial_multi(mu)
-        return out
+    m = p.nvars
+    out = MultiPoly.zero(m)
+    for expo, c in op.terms.items():
+        out = out + MultiPoly.monomial(m, expo[:m], c) * p.partial_multi(expo[m:])
+    return out
 
 
-def formal_product(ops) -> "LinearDiffOp":
+def formal_product(ops) -> MultiPoly:
     """Commutative symbol product: coefficients multiply, derivative
     multi-indices add, coefficients are never differentiated."""
     ops = list(ops)
     if not ops:
-        raise ValueError("empty product has no arity; pass [identity(m)]")
-    out = LinearDiffOp.identity(ops[0].m)
-    for op in ops:
-        t = {}
-        for mu1, c1 in out.terms.items():
-            for mu2, c2 in op.terms.items():
-                mu = tuple(a + b for a, b in zip(mu1, mu2))
-                c = c1 * c2
-                acc = t.get(mu)
-                c = c if acc is None else acc + c
-                if c.is_zero():
-                    t.pop(mu, None)
-                else:
-                    t[mu] = c
-        nxt = LinearDiffOp(op.m)
-        nxt.terms = t
-        out = nxt
-    return out
+        raise ValueError("empty product has no arity; pass [MultiPoly.constant(2m, 1)]")
+    return reduce(mul, ops)
 
 
-def _multi_binom(mu, kappa) -> int:
-    out = 1
-    for a, b in zip(mu, kappa):
-        out *= comb(a, b)
-    return out
-
-
-def compose(outer: "LinearDiffOp", inner: "LinearDiffOp") -> "LinearDiffOp":
+def compose(outer: MultiPoly, inner: MultiPoly) -> MultiPoly:
     """True operator composition outer o inner, normal-ordered by the
-    Leibniz rule: c d^mu (d p(y)) = c sum_{kappa<=mu} C(mu,kappa)
-    (d^kappa d)(y) d^{mu-kappa}."""
-    if outer.m != inner.m:
+    Leibniz rule: c y^e d^mu (d(y) d^nu) = c y^e sum_{kappa<=mu}
+    C(mu,kappa) (d^kappa d)(y) d^{mu-kappa+nu}, i.e. the symbol
+    C(mu,kappa) c y^e w^{mu-kappa} times d^kappa (in y) of inner's symbol."""
+    from .poly import MultiPoly
+
+    if outer.nvars != inner.nvars:
         raise ValueError("operator arity mismatch")
-    out = LinearDiffOp.zero(outer.m)
-    for mu, c in outer.terms.items():
-        for nu, d in inner.terms.items():
-            for kappa in product(*(range(x + 1) for x in mu)):
-                dk = d.partial_multi(kappa)
-                if dk.is_zero():
-                    continue
-                idx = tuple(a - b + e for a, b, e in zip(mu, kappa, nu))
-                out = out + LinearDiffOp(
-                    outer.m, {idx: (c * dk).scale(_multi_binom(mu, kappa))}
-                )
-    return out
-
-
-def bracket_op(A: MatQ) -> "LinearDiffOp":
-    """The derivation with first-order coefficients b_l(y) = sum_j A_{lj} y_j."""
-    m = A.size
+    m = outer.nvars // 2
     terms = {}
-    for l in range(m):
-        c = MultiPoly.zero(m)
-        for j in range(m):
-            if A[l, j]:
-                c = c + MultiPoly.variable(m, j).scale(A[l, j])
-        if not c.is_zero():
-            mu = [0] * m
-            mu[l] = 1
-            terms[tuple(mu)] = c
-    return LinearDiffOp(m, terms)
+    for expo, c in outer.terms.items():
+        mu = expo[m:]
+        for kappa in product(*(range(x + 1) for x in mu)):
+            coef = c * prod(map(comb, mu, kappa))
+            left = expo[:m] + tuple(map(sub, mu, kappa))
+            for e, d in inner.partial_multi(kappa + (0,) * m).terms.items():
+                key = tuple(map(add, left, e))
+                terms[key] = terms.get(key, 0) + coef * d
+    return MultiPoly(2 * m, terms)
 
 
-def script_A_n(A: MatQ, n: int, reverse: bool = False) -> "LinearDiffOp":
+def bracket_op(A: MatQ) -> MultiPoly:
+    """The derivation with first-order coefficients b_l(y) = sum_j A_{lj} y_j:
+    the symbol sum_{l,j} A_{lj} y_j w_l."""
+    from .poly import MultiPoly
+
+    m = A.size
+    return MultiPoly(
+        2 * m,
+        {
+            tuple(int(i in (j, m + l)) for i in range(2 * m)): A[l, j]
+            for l in range(m)
+            for j in range(m)
+        },
+    )
+
+
+def script_A_n(A: MatQ, n: int, reverse: bool = False) -> MultiPoly:
     """The n-fold composition of the shifted derivations
     ([A]-n+1) o ([A]-n+2) o ... o [A]; the shift order does not matter
     (reverse=True builds the factors in the opposite order)."""
+    from .poly import MultiPoly
+
     if n < 1:
         raise ValueError("n must be >= 1")
     base = bracket_op(A)
     shifts = list(range(n - 1, -1, -1)) if reverse else list(range(n))
-    out = base.shift(-shifts[0])
+    out = base + MultiPoly.constant(base.nvars, -shifts[0])
     for c in shifts[1:]:
-        out = compose(base.shift(-c), out)
+        out = compose(base + MultiPoly.constant(base.nvars, -c), out)
     return out
 
 
@@ -205,11 +119,12 @@ def partitions_weighted(n: int):
         yield tuple(d.get(i, 0) for i in range(1, n + 1))
 
 
-def lemma17_rhs(A: MatQ, n: int) -> "LinearDiffOp":
+def lemma17_rhs(A: MatQ, n: int) -> MultiPoly:
     """Partition expansion: sum over s_1 + 2 s_2 + ... + n s_n = n of
     prod_i (1/s_i!) [Delta_i(A)]^{s_i}, powers as symbol products."""
-    m = A.size
-    out = LinearDiffOp.zero(m)
+    from .poly import MultiPoly
+
+    out = MultiPoly.zero(2 * A.size)
     deltas = [bracket_op(D) for D in matrix_delta_table(A, n)]
     for s in partitions_weighted(n):
         factors = []

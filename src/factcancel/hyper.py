@@ -14,7 +14,8 @@ matrix system, and ``certificate`` inside certify_lemma11, so the series,
 conditions and theorem6 paths load none of them.
 ``mpmath`` is imported only by the interval code (theorem6 and its
 report): Phi, chi(b0), C0 and eta0 are each enclosed once, in a private
-interval context, and reported as the midpoints of those enclosures.
+interval context, and reported as the midpoints of those enclosures; the
+measure exponent is the upper end of eta0's, printed rounded up.
 Certificate constants come from ``decimal``.
 """
 
@@ -180,8 +181,6 @@ def system_residual(params: HyperParams, system: FuchsianSystem, N: int) -> bool
 class SpectralForms:
     """Closed-form spectral data of the adjoint homogeneous system."""
 
-    sigma_alpha: tuple
-    sigma_beta: tuple
     gamma: Fraction
     A1: MatQ
     A2: MatQ
@@ -217,7 +216,6 @@ def adjoint_system(params: HyperParams) -> SpectralForms:
     if not params.betas_distinct():
         raise RepeatedBeta("closed forms require pairwise distinct beta")
     m = params.m
-    sa, sb = vieta(params)
     A1, A2 = adjoint_matrices(params)
     beta = params.beta
     # column j: sigma_{m-1-l}(beta with beta_j removed), top to bottom
@@ -242,8 +240,6 @@ def adjoint_system(params: HyperParams) -> SpectralForms:
     B1 = MatQ.diagonal(beta)
     B2 = MatQ([[aj for aj in a] for _ in range(m)])
     return SpectralForms(
-        sigma_alpha=tuple(sa),
-        sigma_beta=tuple(sb),
         gamma=params.gamma(),
         A1=A1,
         A2=A2,
@@ -341,6 +337,16 @@ def _mid(x):
     import mpmath
 
     return mpmath.mp.make_mpf(x.mid._mpi_[0])
+
+
+def _str_up(x, digits: int) -> str:
+    """The mpf x rounded toward +inf at `digits` significant digits."""
+    import decimal
+
+    from mpmath.libmp import to_rational
+
+    up = decimal.Context(prec=digits, rounding=decimal.ROUND_CEILING)
+    return format(up.divide(*to_rational(x._mpf_)), "f")
 
 
 def _phi_enclosure(params: HyperParams, digits: int):
@@ -508,7 +514,7 @@ class Theorem6Report:
             "decisive": self.decisive,
             "measure_exponent": None
             if self.measure_exponent is None
-            else mpmath.nstr(self.measure_exponent, self.digits),
+            else _str_up(self.measure_exponent, self.digits),
             "digits": self.digits,
         }
 
@@ -542,12 +548,13 @@ def theorem6(
     Phi, chi(b0), C0 and eta0 = num/den, num = (1+eps) ln a2 + ln C0,
     den = (1-(m+2)eps) ln a2 - ln C0 - (2-(m+1)eps) ln|a1|, are each
     enclosed once, at `digits` decimal digits; the report carries the
-    midpoints of those enclosures.  den is the log-margin of the verdict,
-    and eta0 is None unless den is provably positive.  The verdict is
-    decided when either the comparison of a2^{1-(m+2)eps} with the right
-    side or the enclosure of den separates; the comparison in exp space can
-    separate where den's enclosure cannot, so irrational=True with
-    eta0=None stays possible.
+    midpoints of those enclosures, and as measure_exponent the upper end of
+    eta0's, a proved irrationality exponent.  den is the log-margin of the
+    verdict, and eta0 and measure_exponent are None unless den is provably
+    positive.  The verdict is decided when either the comparison of
+    a2^{1-(m+2)eps} with the right side or the enclosure of den separates;
+    the comparison in exp space can separate where den's enclosure cannot,
+    so irrational=True with eta0=None stays possible.
     """
     xi = _fr(xi)
     epsilon = _fr(epsilon)
@@ -590,8 +597,10 @@ def theorem6(
     irrational = lhs.a > rhs.b or den.a > 0
     decisive = irrational or lhs.b < rhs.a or den.b < 0
     # den is the verdict's log-margin: eta0 is an exponent only where den > 0
-    eta0 = _mid(num / den) if den.a > 0 else None
-    measure = eta0 if irrational else None
+    ratio = num / den
+    eta0 = _mid(ratio) if den.a > 0 else None
+    # a proved exponent: the upper end of ratio, the midpoint of [b, b]
+    measure = _mid(ratio.b) if den.a > 0 else None
     return Theorem6Report(
         conditions=conditions,
         b0=b0,

@@ -62,12 +62,7 @@ def _modules_after(code, *argv):
         (["certify", "scalar", "--lambda", "1/2", "--k", "50"], None, _SCALAR),
         (["certify", "matrix", "--k", "40"], _MATRIX_JSON, _MATRIX),
         (["certify", "fuchsian", "--k", "12"], _SYSTEM_JSON, _FUCHSIAN),
-        # LinearDiffOp's MultiPoly: ROADMAP item 2 decides whether it stays in production
-        (
-            ["certify", "constcoef", "--k", "25"],
-            _MATRIX_JSON,
-            _MATRIX | {"factcancel.constcoef", "factcancel.poly"},
-        ),
+        (["certify", "constcoef", "--k", "25"], _MATRIX_JSON, _MATRIX | {"factcancel.constcoef"}),
         (["hyper", "series", "--alpha", "1/3", "--beta", "1/2", "--N", "10"], None, _HYPER),
         (["hyper", "conditions", "--alpha", "1/3", "--beta", "1/2"], None, _HYPER),
         (["hyper", "system", "--alpha", "1/3", "--beta", "1/2", "--N", "40"], None, _FUCHSIAN | _HYPER),

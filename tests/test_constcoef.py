@@ -25,7 +25,7 @@ def test_bracket_op_euler():
     op = cc.bracket_op(MatQ.identity(2))
     # Euler operator: y1 d1 + y2 d2; acts on y1^a y2^b as (a+b) * monomial
     mono = MultiPoly.monomial(2, (2, 3))
-    assert op.apply(mono) == mono.scale(5)
+    assert cc.apply(op, mono) == mono.scale(5)
 
 
 def test_bracket_op_zero_and_linearity():
@@ -47,7 +47,7 @@ def test_formal_product_hand_expansion():
     A = MatQ.diagonal([F(2), F(3)])
     B = MatQ.diagonal([F(5), F(7)])
     op = cc.formal_product([cc.bracket_op(A), cc.bracket_op(B)])
-    out = op.apply(MultiPoly.monomial(2, (1, 1)))
+    out = cc.apply(op, MultiPoly.monomial(2, (1, 1)))
     assert out == MultiPoly.monomial(2, (1, 1), 2 * 7 + 3 * 5)
 
 
@@ -61,7 +61,7 @@ def test_composition_rule(seed):
 
 def test_compose_with_identity():
     a = cc.bracket_op(_rand_mat(2, 10))
-    e = cc.LinearDiffOp.identity(2)
+    e = MultiPoly.constant(4, 1)
     assert cc.compose(a, e) == a
     assert cc.compose(e, a) == a
 
@@ -83,6 +83,29 @@ def test_compose_derivation_over_formal_products(seed):
         assert lhs != naive
 
 
+_small_rat = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def _op_and_poly(draw):
+    m = draw(st.sampled_from([2, 3]))
+    row = st.lists(_small_rat, min_size=m, max_size=m)
+    mats = [MatQ(draw(st.lists(row, min_size=m, max_size=m))) for _ in range(2)]
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * m), _small_rat, max_size=4))
+    return mats, MultiPoly(m, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_op_and_poly())
+def test_compose_is_application_in_sequence(data):
+    (A, B), p = data
+    a, b = cc.bracket_op(A), cc.bracket_op(B)
+    assert cc.apply(cc.compose(b, a), p) == cc.apply(b, cc.apply(a, p))
+    # and on operators with second-order and constant terms
+    ab = cc.formal_product([a, b]) + MultiPoly.constant(a.nvars, F(1, 2))
+    assert cc.apply(cc.compose(ab, a), p) == cc.apply(ab, cc.apply(a, p))
+
+
 def test_script_A_basic():
     A = _rand_mat(2, 20)
     a = cc.bracket_op(A)
@@ -95,7 +118,7 @@ def test_script_A_basic():
 def test_script_A_kills_constants():
     A = _rand_mat(2, 21)
     op = cc.script_A_n(A, 3)
-    assert op.apply(MultiPoly.constant(2, F(5))).is_zero()
+    assert cc.apply(op, MultiPoly.constant(2, F(5))).is_zero()
 
 
 @pytest.mark.parametrize("seed", [22, 23])
@@ -199,7 +222,7 @@ def test_certify_psi_matches_operator_oracle(i):
         op = cc.script_A_n(A, n).scale(F(1, factorial(n)))
         for d in range(4):
             for e in _compositions(d, m):
-                image = op.apply(MultiPoly.monomial(m, e))
+                image = cc.apply(op, MultiPoly.monomial(m, e))
                 dens[n, d] = lcm(dens.get((n, d), 1), image.coeff_denominator())
     for k in range(1, 6):
         for cap in range(1, 4):

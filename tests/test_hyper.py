@@ -276,7 +276,7 @@ def test_theorem6_verdict_flips_at_inequality():
         assert rep.irrational == direct
         if rep.irrational:
             assert rep.eta0 > 0
-            assert rep.measure_exponent == rep.eta0
+            assert rep.measure_exponent >= rep.eta0
 
 
 def test_theorem6_indecisive_when_the_precision_cannot_separate():
@@ -299,9 +299,23 @@ def test_theorem6_decides_on_the_log_margin_when_the_comparison_straddles():
     rep = hyper.theorem6(catalog.HYPER_M1, xi, F(1, 8), digits=4)
     assert (rep.irrational, rep.decisive) == (True, True)
     assert rep.eta0 is not None
-    assert rep.measure_exponent == rep.eta0
+    assert rep.measure_exponent >= rep.eta0
     hi = hyper.theorem6(catalog.HYPER_M1, xi, F(1, 8), digits=100)
     assert (hi.irrational, hi.decisive) == (True, True)
+
+
+def test_theorem6_measure_exponent_is_the_upper_end_rounded_up():
+    # at 4 digits the midpoint of eta0's enclosure, 2.750671..., lies below
+    # eta0 = 2.750692... (100 digits): the reported exponent is the upper
+    # end of the enclosure, and it prints rounded toward +inf
+    xi = F(1, 500876791760366310946532916929854695973724576326007033692160)
+    rep = hyper.theorem6(catalog.HYPER_M1, xi, F(1, 10), digits=4)
+    hi = hyper.theorem6(catalog.HYPER_M1, xi, F(1, 10), digits=100)
+    assert rep.irrational and hi.irrational
+    assert rep.eta0 < hi.eta0 <= rep.measure_exponent
+    assert rep.to_dict()["measure_exponent"] == "2.751"
+    # nearest rounding would print 2.750
+    assert hyper._str_up(mpmath.mpf("2.75001"), 4) == "2.751"
 
 
 def test_theorem6_errors():
