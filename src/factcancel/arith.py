@@ -1,11 +1,12 @@
 """Exact integer/rational arithmetic kernels.
 
-Everything here is deterministic and pure: primality and factoring, the
-prime sieve, the trinomial-coefficient lcm g_k, and the growth constant
-rho(b).  Divisibility data is always exact integers.  rho_exact is the exact
-rational that hyper encloses Phi from.  The references the tests compare
-with (tau_p, lcm_upto, prime_power_product, chi and g_k_exponent) are in
-``checks``.
+Everything here is deterministic and pure: the prime sieve, bounded trial
+division (small_prime_factors, is_prime), the trinomial-coefficient lcm g_k,
+and the growth constant rho(b).  Nothing is factored past TRIAL_LIMIT, so a
+hostile denominator costs at most pi(TRIAL_LIMIT) trial divisions.
+Divisibility data is always exact integers.  rho_exact is the exact rational
+that hyper encloses Phi from.  The references the tests compare with (tau_p,
+lcm_upto, prime_power_product, chi and g_k_exponent) are in ``checks``.
 """
 
 from __future__ import annotations
@@ -19,13 +20,9 @@ DEFAULT_DIGITS = 50
 
 Rat = Fraction
 
-#: the first 13 primes: as Miller-Rabin witnesses they are deterministic
-#: below psi_13 = 3.3e24 (Sorenson and Webster, Math. Comp. 86, 2017); the
-#: first 12 only below psi_12 = 3.2e23, the first 7 below psi_7 = 3.4e14
-#: (Jaeschke, Math. Comp. 61, 1993)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-_MR7_LIMIT = 341_550_071_728_321
+#: trial division stops at this prime bound: a cofactor left below
+#: TRIAL_LIMIT**2 is prime, and every prime factor of a larger one exceeds it
+TRIAL_LIMIT = 10**6
 
 #: the carry count of a state no split of k reaches
 _UNREACHABLE = float("-inf")
@@ -47,157 +44,6 @@ def format_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _strong_prp(n: int, a: int) -> bool:
-    """True if the odd n > a is a strong probable prime to base a (one
-    Miller-Rabin round)."""
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    x = pow(a, d, n)
-    if x in (1, n - 1):
-        return True
-    for _ in range(r - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    out = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                out = -out
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            out = -out
-        a %= n
-    return out if n == 1 else 0
-
-
-def _half(x: int, n: int) -> int:
-    """x / 2 modulo the odd n."""
-    return (x if x % 2 == 0 else x + n) // 2 % n
-
-
-def _strong_lucas_prp(n: int) -> bool:
-    """True if n is a strong Lucas probable prime for Selfridge's
-    parameters: P = 1, Q = (1 - D)/4 with D the first of 5, -7, 9, -11, ...
-    with (D/n) = -1.  With n + 1 = d 2^s, that means U_d = 0 or
-    V_{d 2^r} = 0 (mod n) for some r < s.  The odd n must not be a square
-    (no such D exists then) and must exceed every |D| tried, so that
-    (D/n) = 0 means a proper factor."""
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0:  # gcd(D, n) > 1 and n > |D|
-            return False
-        D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    U, V, Qk = 0, 2, 1  # U_k, V_k, Q^k at k = 0, then along the bits of d
-    for bit in bin(d)[2:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = _half(U + V, n), _half(D * U + V, n), Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
-
-
-def is_prime(n: int) -> bool:
-    """Primality: trial division by _MR_BASES, which settles n < 43^2, then
-    Miller-Rabin with their first seven witnesses below _MR7_LIMIT = 3.4e14
-    and all of them below _MR_LIMIT = 3.3e24; above it, BPSW, a strong
-    base-2 test and a strong Lucas test (Baillie and Wagstaff, Math. Comp.
-    35, 1980), which has no known counterexample and none below 2^64."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    if n < 43 * 43:
-        return True
-    if n < _MR_LIMIT:
-        return all(_strong_prp(n, a) for a in _MR_BASES[: 7 if n < _MR7_LIMIT else None])
-    return _strong_prp(n, 2) and isqrt(n) ** 2 != n and _strong_lucas_prp(n)
-
-
-#: trial divisors tried before Pollard-Brent rho; they cover every b < 101**2
-_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-
-def _brent_factor(n: int) -> int:
-    """A proper divisor of the odd composite n: Pollard rho with Brent's
-    cycle detection and batched gcds (Brent, BIT 20, 1980).  The polynomial
-    x^2 + c runs over c = 1, 2, ... until one splits n, so the result is
-    deterministic."""
-    c = 0
-    while True:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            i = 0
-            while i < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - i)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                i += 128
-            r *= 2
-        if g == n:  # the batch overshot: redo it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def prime_factors(b: int) -> list[int]:
-    """Distinct prime divisors of b >= 1, ascending.
-
-    Trial division by the primes below 100 settles every small denominator;
-    a larger cofactor is split by Pollard-Brent rho down to factors that
-    is_prime accepts.
-    """
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    out = []
-    for p in _TRIAL_PRIMES:
-        if p * p > b:
-            break
-        if b % p == 0:
-            out.append(p)
-            while b % p == 0:
-                b //= p
-    stack = [b] if b > 1 else []
-    while stack:
-        n = stack.pop()
-        if n < 101 * 101 or is_prime(n):
-            out.append(n)
-        else:
-            d = _brent_factor(n)
-            stack += [d, n // d]
-    return sorted(set(out))
-
-
 def _sieve(n: int) -> bytearray:
     """Eratosthenes' flags: flags[i] is 1 exactly when i is prime, for
     0 <= i <= n (empty for n < 0)."""
@@ -215,6 +61,42 @@ def prime_pi(n: int) -> int:
     """pi(n), the number of primes <= n: the sieve's flags counted, no list
     built."""
     return _sieve(n).count(1)
+
+
+def small_prime_factors(b: int) -> tuple[list[int], int]:
+    """(primes, cofactor): the distinct primes of b >= 1, ascending, that
+    trial division by the sieve's primes up to min(TRIAL_LIMIT, sqrt(b))
+    finds, and the part of b they leave.  A leftover below TRIAL_LIMIT**2 is
+    prime and joins the primes, so the cofactor is 1 or >= TRIAL_LIMIT**2,
+    and then all its prime factors exceed TRIAL_LIMIT."""
+    if b < 1:
+        raise ValueError("b must be >= 1")
+    n = min(TRIAL_LIMIT, isqrt(b))
+    primes = []
+    for p in compress(range(n + 1), _sieve(n)):
+        if p * p > b:
+            break
+        if b % p == 0:
+            primes.append(p)
+            while b % p == 0:
+                b //= p
+    if 1 < b < TRIAL_LIMIT**2:
+        primes.append(b)
+        b = 1
+    return primes, b
+
+
+def is_prime(n: int) -> bool:
+    """Primality by small_prime_factors, exact for n < TRIAL_LIMIT**2 and
+    for every n with a prime factor <= TRIAL_LIMIT.  A larger n without one
+    raises ValueError: trial division cannot tell a prime from a product of
+    large primes, so it answers neither."""
+    if n < 2:
+        return False
+    primes, _ = small_prime_factors(n)
+    if not primes:
+        raise ValueError(f"{n} has no prime factor <= {TRIAL_LIMIT}: primality undecided")
+    return primes == [n]
 
 
 def common_denominator(xs: Iterable[Fraction]) -> int:

@@ -46,7 +46,8 @@ class CancellationCertificate:
     verdict psi_k | bound_k.  log_ratio_per_k = ln(psi_k)/k and
     asymptotic_constant are informational reals, computed with the standard
     library's correctly rounded decimal arithmetic at 50 digits and then
-    rounded to float.
+    rounded to float.  asymptotic_constant is None without a bound, and
+    where trial division to 10^6 leaves b a cofactor (see growth_constant).
     """
 
     k: int
@@ -105,12 +106,17 @@ def make_certificate(
     )
 
 
-def growth_constant(scale: int, b: int, shift: int) -> float:
+def growth_constant(scale: int, b: int, shift: int) -> Optional[float]:
     """scale * b * e^(chi(b) + shift), chi(b) = sum over primes p | b of
     ln(p)/(p-1): the asymptotic constant of every family's certificate,
-    computed at 50 decimal digits (checks.chi is the mpmath oracle)."""
+    computed at 50 decimal digits (checks.chi is the mpmath oracle).  None
+    when arith.small_prime_factors leaves b a cofactor > 1, whose primes
+    trial division does not find."""
+    primes, cofactor = arith.small_prime_factors(b)
+    if cofactor > 1:
+        return None
     chi = decimal.Decimal(0)
-    for p in arith.prime_factors(b):
+    for p in primes:
         chi = _DEC.add(chi, _DEC.divide(_DEC.ln(p), p - 1))
     return float(_DEC.multiply(scale * b, _DEC.exp(_DEC.add(chi, shift))))
 

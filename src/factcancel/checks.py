@@ -4,10 +4,11 @@ Only `verify` and the tests import this module; `certify` and `hyper` never
 load it, so the family modules hold only their production paths.  Here are
 identities (14), (16) and (24), the bracket, projector and partial-fraction
 identities, Lemmas 17 and 19, the Wronskian, and the references the tests
-compare production code with (min_poly, jordan_form, chi, tau_p, lcm_upto,
-prime_power_product, g_k_exponent, g_class_phi).  The oracles the benchmark
-imports by module (g_k_by_enumeration, delta_derivatives_via_shift,
-qn_via_brackets, lemma17_rhs, ...) stay in their family modules.
+compare production code with (min_poly, jordan_form, prime_divisors, chi,
+tau_p, lcm_upto, prime_power_product, g_k_exponent, g_class_phi).  The
+oracles the benchmark imports by module (g_k_by_enumeration,
+delta_derivatives_via_shift, qn_via_brackets, lemma17_rhs, ...) stay in
+their family modules.
 """
 
 from __future__ import annotations
@@ -68,13 +69,28 @@ def prime_power_product(b: int, k: int) -> int:
     return out
 
 
+def prime_divisors(b: int) -> list[int]:
+    """The distinct primes of b >= 1, ascending, by trial division by every
+    d <= sqrt(b): the oracle for arith.small_prime_factors, which it does not
+    call.  O(sqrt(b)), so only for small b."""
+    out, d = [], 2
+    while d * d <= b:
+        if b % d == 0:
+            out.append(d)
+            while b % d == 0:
+                b //= d
+        d += 1
+    return out + [b] if b > 1 else out
+
+
 def chi(b: int, digits: int = arith.DEFAULT_DIGITS):
     """chi(b) = sum over primes p | b of ln(p)/(p-1), an mpmath real: the
-    oracle for certificate.growth_constant and theorem6's C0."""
+    oracle for certificate.growth_constant and theorem6's C0, with b
+    factored by prime_divisors."""
     import mpmath
 
     with mpmath.workdps(digits):
-        return +mpmath.fsum(mpmath.log(p) / (p - 1) for p in arith.prime_factors(b))
+        return +mpmath.fsum(mpmath.log(p) / (p - 1) for p in prime_divisors(b))
 
 
 def lcm_upto(k: int) -> int:

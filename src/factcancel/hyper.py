@@ -545,6 +545,9 @@ def theorem6(
     is only reported when the inequality provably holds at the working
     precision (decisive=False flags a straddling interval).
 
+    chi(b0) is enclosed from the primes arith.small_prime_factors finds;
+    an unfactored cofactor c adds [0, ln(c)/TRIAL_LIMIT], since each of its
+    primes p has p - 1 >= TRIAL_LIMIT and their ln p sum to at most ln c.
     Phi, chi(b0), C0 and eta0 = num/den, num = (1+eps) ln a2 + ln C0,
     den = (1-(m+2)eps) ln a2 - ln C0 - (2-(m+1)eps) ln|a1|, are each
     enclosed once, at `digits` decimal digits; the report carries the
@@ -574,9 +577,12 @@ def theorem6(
     iv = _interval_context(digits)
     ivPhi = _phi_enclosure(params, digits)
     ivH = iv.mpf(H.numerator) / H.denominator
+    primes, cofactor = arith.small_prime_factors(b0)
     iv_chi = iv.mpf(0)
-    for p in arith.prime_factors(b0):
+    for p in primes:
         iv_chi += iv.log(p) / (p - 1)
+    if cofactor > 1:
+        iv_chi += iv.mpf([0, 1]) * iv.log(cofactor) / arith.TRIAL_LIMIT
     iv_eps = iv.mpf(epsilon.numerator) / epsilon.denominator
     iv_base = 8 * b0 * ivH * iv.exp(iv_chi + 3)
     iv_expo = 1 + iv_eps + (2 - (m - 1) * iv_eps) / (

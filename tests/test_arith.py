@@ -28,97 +28,38 @@ def test_is_prime_small():
     assert not arith.is_prime(1)
     assert not arith.is_prime(0)
     assert arith.is_prime(2**31 - 1)
-    # trial division by the primes <= 41 settles every n < 43^2 = 1849
+    # 43^2 = 1849, a prime square, right after a prime
     assert arith.is_prime(1847) and not arith.is_prime(1849)
     flags = arith._sieve(10**5)
     assert all(arith.is_prime(n) == bool(flags[n]) for n in range(10**5 + 1))
 
 
-# psi_12 = 3.2e23: the least strong pseudoprime to the twelve prime bases
-# up to 37, caught only by base 41
+# psi_12 = 3.2e23 = 399165290221 * 798330580441: both primes exceed
+# TRIAL_LIMIT, so trial division cannot decide it
 _PSI_12 = 318665857834031151167461
 
 
 def test_is_prime_needs_base_41_below_mr_limit():
-    assert _PSI_12 < arith._MR_LIMIT
-    assert all(arith._strong_prp(_PSI_12, a) for a in arith._MR_BASES[:-1])
-    assert not arith.is_prime(_PSI_12)
-    assert arith.prime_factors(_PSI_12) == [399165290221, 798330580441]
-    with pytest.raises(NotPrime):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
         checks.g_k_exponent(_PSI_12, 10)
-
-
-# psi_7 = 3.4e14 and psi_6 = 3.5e12 (Jaeschke, Math. Comp. 61, 1993): the
-# least strong pseudoprimes to the first seven and the first six prime bases
-_PSI_7 = 341_550_071_728_321
-_PSI_6 = 3_474_749_660_383
-
-
-def test_is_prime_at_the_seven_base_limit():
-    assert _PSI_7 == arith._MR7_LIMIT
-    assert all(arith._strong_prp(_PSI_7, a) for a in arith._MR_BASES[:7])
-    assert not arith.is_prime(_PSI_7)
-    assert all(arith._strong_prp(_PSI_6, a) for a in arith._MR_BASES[:6])
-    assert not arith._strong_prp(_PSI_6, 17)
-    assert not arith.is_prime(_PSI_6)
-
-
-@pytest.mark.parametrize("n", [2**89 - 1, 2**107 - 1, 2**127 - 1, 10**30 + 57])
-def test_bpsw_accepts_large_primes(n):
-    assert n > arith._MR_LIMIT
-    start = time.perf_counter()
-    assert arith.is_prime(n)
-    assert arith.prime_factors(n) == [n]
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize(
-    "n",
-    [
-        arith._MR_LIMIT,  # psi_13: a strong pseudoprime to all 13 bases
-        (10**15 + 37) * (10**15 + 91),
-        999999999999989 * 1000000000000037,
-        (2**61 - 1) * (2**89 - 1),
-        (2**89 - 1) ** 2,
-        (10**13 + 37) ** 2,  # a square: the Lucas test needs (D/n) = -1
-    ],
-)
-def test_bpsw_rejects_large_composites(n):
-    assert n >= arith._MR_LIMIT
+def test_is_prime_raises_without_a_small_factor():
     start = time.perf_counter()
-    assert not arith.is_prime(n)
+    with pytest.raises(ValueError):
+        arith.is_prime(_PSI_12)
     assert time.perf_counter() - start < 1.0
-
-
-# each half of BPSW alone is fooled by some composites; the other half
-# catches them: strong base-2 pseudoprimes and strong Lucas pseudoprimes
-@pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321, 15841, 29341, 3215031751])
-def test_strong_lucas_rejects_base_2_pseudoprimes(n):
-    assert arith._strong_prp(n, 2)
-    assert not arith._strong_lucas_prp(n)
-
-
-@pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199])
-def test_base_2_rejects_strong_lucas_pseudoprimes(n):
-    assert arith._strong_lucas_prp(n)
-    assert not arith._strong_prp(n, 2)
-
-
-def _bpsw(n):
-    return arith._strong_prp(n, 2) and arith._strong_lucas_prp(n)
-
-
-@settings(max_examples=300)
-@example(_PSI_12)
-@example(3215031751)
-@example(2**61 - 1)
-@example(999999999989 * 1000000000039)
-@given(st.integers(21, (arith._MR_LIMIT - 3) // 2).map(lambda h: 2 * h + 1))
-def test_bpsw_matches_miller_rabin_below_limit(n):
-    # below _MR_LIMIT the 13-base Miller-Rabin test is deterministic
-    if math.gcd(n, math.prod(arith._MR_BASES)) > 1 or math.isqrt(n) ** 2 == n:
-        return
-    assert _bpsw(n) == all(arith._strong_prp(n, a) for a in arith._MR_BASES)
+    # a small factor settles it, however large n is
+    assert not arith.is_prime(2 * _PSI_12)
+    assert not arith.is_prime(999983 * _PSI_12)
+    # exact below TRIAL_LIMIT**2 = 10^12: the largest prime there, and a
+    # product of the primes next to TRIAL_LIMIT; just above, it raises
+    assert arith.is_prime(999999999989)
+    assert not arith.is_prime(999983 * 1000003)
+    with pytest.raises(ValueError):
+        arith.is_prime(1000003 * 1000033)
 
 
 def test_primes_upto_and_pi():
@@ -135,36 +76,59 @@ def test_primes_upto_and_pi():
 
 
 def test_prime_factors():
-    assert arith.prime_factors(1) == []
-    assert arith.prime_factors(12) == [2, 3]
-    assert arith.prime_factors(30) == [2, 3, 5]
-
-
-def _trial_division_factors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
+    assert arith.small_prime_factors(1) == ([], 1)
+    assert arith.small_prime_factors(12) == ([2, 3], 1)
+    assert arith.small_prime_factors(30) == ([2, 3, 5], 1)
+    assert checks.prime_divisors(1) == []
+    assert checks.prime_divisors(360) == [2, 3, 5]
+    assert checks.prime_divisors(997**2 * 991) == [991, 997]
 
 
 def test_prime_factors_hostile_denominator():
-    # trial division needs ~10^9 steps here; Pollard-Brent rho a few 10^4
-    assert arith.prime_factors(998244353 * 1000000007) == [998244353, 1000000007]
-    assert arith.prime_factors(6 * 101**2 * 1000003) == [2, 3, 101, 1000003]
+    # both primes exceed TRIAL_LIMIT and their product exceeds TRIAL_LIMIT**2:
+    # trial division stops, and the product is the cofactor
+    n = 998244353 * 1000000007
+    assert arith.small_prime_factors(n) == ([], n)
+    # a leftover 1000003 < TRIAL_LIMIT**2 is prime
+    assert arith.small_prime_factors(6 * 101**2 * 1000003) == ([2, 3, 101, 1000003], 1)
 
 
-# the examples leave a composite cofactor for Pollard-Brent rho, squares included
+# the examples end the trial division early (a prime square, a leftover
+# prime above the last trial divisor) and on a prime power
 @example(101 * 103)
 @example(991 * 997)
 @example(997**2)
 @example(2**5 * 101**2)
+@example(2**19)
 @given(st.integers(1, 10**6))
 def test_prime_factors_match_trial_division(n):
-    assert arith.prime_factors(n) == _trial_division_factors(n)
+    assert arith.small_prime_factors(n) == (checks.prime_divisors(n), 1)
+
+
+def _next_prime(n):
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+@settings(max_examples=50, deadline=None)
+@example(1, [1000003, 1000033])
+@example(2 * 3 * 7, [999999937])
+@example(10**6, [1000003, 1000003])
+@given(
+    st.integers(1, 10**6),
+    st.lists(st.integers(10**6, 999_999_000).map(_next_prime), min_size=1, max_size=2),
+)
+def test_small_prime_factors_stops_at_the_trial_limit(s, large):
+    # b = s * c, s <= 10^6 and c a product of one or two primes in
+    # (10^6, 10^9): c stays whole exactly when it reaches TRIAL_LIMIT**2
+    c = math.prod(large)
+    small = checks.prime_divisors(s)
+    if c >= arith.TRIAL_LIMIT**2:
+        want = (small, c)
+    else:
+        want = (sorted(set(small + large)), 1)
+    assert arith.small_prime_factors(s * c) == want
 
 
 @given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 400))
@@ -185,7 +149,7 @@ def test_prime_power_product():
 
 def test_prime_power_product_matches_factored_definition():
     for b in range(1, 2001):
-        primes = _trial_division_factors(b)
+        primes = checks.prime_divisors(b)
         for k in range(61):
             want = math.prod(p ** checks.tau_p(p, k) for p in primes)
             assert checks.prime_power_product(b, k) == want, (b, k)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factcancel import arith, checks
+from factcancel import checks
 from factcancel.certificate import (
     CancellationCertificate,
     bound_steps,
@@ -68,7 +68,7 @@ def test_from_dict_rejects_non_integer_digits(text):
     k_max=st.integers(0, 80),
 )
 def test_bound_steps_matches_factored_formula(b, base, d_exp, k_max):
-    primes = arith.prime_factors(b)
+    primes = checks.prime_divisors(b)
     want = [
         (base * b) ** k
         * checks.lcm_upto(k) ** d_exp
@@ -79,8 +79,8 @@ def test_bound_steps_matches_factored_formula(b, base, d_exp, k_max):
 
 
 def test_bound_steps_does_not_factor_b():
-    # b = (10^15 + 37)(10^15 + 91): Pollard-Brent rho needs about 10^7.5
-    # steps to split it, so factoring b would stall
+    # b = (10^15 + 37)(10^15 + 91): both primes lie past any trial division,
+    # so the bound must come without them
     b = (10**15 + 37) * (10**15 + 91)
     start = time.perf_counter()
     *_, last = bound_steps(b, 60)

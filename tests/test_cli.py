@@ -243,18 +243,51 @@ def test_closed_pipe_exits_0_with_empty_stderr():
     assert proc.stderr == b""
 
 
-def test_large_prime_denominator_finishes_fast():
-    # 10^30 + 57 is prime and past the Miller-Rabin range: growth_constant's
-    # chi(b) factors b, and BPSW accepts it at once
+# S = (10^15 + 37)(10^15 + 91): trial division finds neither prime, so no
+# run may try to split S
+_S = "1000000000000128000000000003367"
+
+
+def _run_fast(*argv):
+    """The JSON output of a CLI run in a fresh interpreter, which must exit 0
+    in under 2 s."""
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "factcancel.cli", "certify", "scalar", "--lambda",
-         "1/1000000000000000000000000000057", "--k", "5", "--json"],
+        [sys.executable, "-m", "factcancel.cli", *argv, "--json"],
         capture_output=True, text=True, env=_env(), timeout=60,
     )
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < 2
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["divides"] is True
+    return json.loads(proc.stdout)
+
+
+def test_large_prime_denominator_finishes_fast():
+    # 10^30 + 57 is prime: trial division leaves it as the cofactor, so the
+    # exact verdict stands and the asymptotic constant is null
+    out = _run_fast("certify", "scalar", "--lambda", "1/1000000000000000000000000000057", "--k", "5")
+    assert out["divides"] is True
+    assert out["asymptotic_constant"] is None
+
+
+def test_hostile_denominator_certificates_finish_fast(tmp_path):
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps([[f"1/{_S}"]]))
+    for out in (
+        _run_fast("certify", "scalar", "--lambda", f"1/{_S}", "--k", "5"),
+        _run_fast("certify", "matrix", "--file", str(path), "--k", "5"),
+    ):
+        assert out["divides"] is True
+        assert out["asymptotic_constant"] is None
+
+
+def test_hostile_denominator_theorem6_finishes_fast():
+    out = _run_fast(
+        "hyper", "theorem6", "--alpha", f"1/{_S}", "--beta", "1/2",
+        "--xi", f"1/{10**44}", "--epsilon", "1/10",
+    )
+    assert out["decisive"] is True
+    assert out["irrational"] is True
+    assert out["measure_exponent"] is not None
 
 
 # Small JSON values of any shape, and well-formed matrices, Fuchsian systems

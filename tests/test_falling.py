@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factcancel import arith, checks, falling
+from factcancel import checks, falling
 from factcancel.certificate import CancellationCertificate
 
 rats = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -163,7 +163,7 @@ def test_certify_scalar_sweep_matches_factored_bound(lam, k_max, r):
     want = []
     for k in range(1, k_max + 1):
         ppp = 1
-        for p in arith.prime_factors(b):
+        for p in checks.prime_divisors(b):
             ppp *= p ** checks.tau_p(p, k)
         bound = b**k * checks.lcm_upto(k) ** (r - 1) * ppp
         want.append(bound % falling.psi_scalar(lam, k, r) == 0)
@@ -171,8 +171,8 @@ def test_certify_scalar_sweep_matches_factored_bound(lam, k_max, r):
 
 
 def test_certify_scalar_sweep_does_not_factor_b():
-    # b = (10^15 + 37)(10^15 + 91): Pollard-Brent rho needs about 10^7.5
-    # steps to split it, so factoring b would stall
+    # b = (10^15 + 37)(10^15 + 91): both primes lie past any trial division,
+    # so the bound must come without them
     lam = Fraction(1, 1000000000000128000000000003367)
     start = time.perf_counter()
     assert falling.certify_scalar_sweep(lam, 5) == [True] * 5

@@ -1,5 +1,6 @@
 import runpy
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 import random
@@ -355,7 +356,7 @@ def test_theorem6_leaves_global_interval_context_alone(monkeypatch, digits):
 
 
 def test_theorem6_evaluates_each_real_once(monkeypatch):
-    calls = {"rho_exact": 0, "prime_factors": 0}
+    calls = {"rho_exact": 0, "small_prime_factors": 0}
     for name in calls:
         fn = getattr(arith, name)
 
@@ -366,12 +367,13 @@ def test_theorem6_evaluates_each_real_once(monkeypatch):
         monkeypatch.setattr(arith, name, counted)
     hyper.theorem6(catalog.HYPER_M2, F(1, 10**12), F(1, 10))
     # one rho(b_j) per lower parameter, and b0 factored once
-    assert calls == {"rho_exact": 2, "prime_factors": 1}
+    assert calls == {"rho_exact": 2, "small_prime_factors": 1}
 
 
-def _theorem6_oracle(params, xi, eps):
+def _theorem6_oracle(params, xi, eps, b0_primes=None):
     """Phi, C0 and eta0 evaluated directly in mpmath at 120 digits; eta0 is
-    None where its denominator, the log-margin of the verdict, is <= 0."""
+    None where its denominator, the log-margin of the verdict, is <= 0.
+    chi(b0) comes from b0_primes when given, else from checks.chi."""
     m = params.m
     with mpmath.workdps(120):
         q1 = prod(a.denominator for a in params.alpha)
@@ -384,9 +386,11 @@ def _theorem6_oracle(params, xi, eps):
         b0 = arith.common_denominator((params.gamma(),) + params.beta)
         H = hyper._height(params)
         e = mpmath.mpf(eps.numerator) / eps.denominator
-        base = 8 * b0 * mpmath.mpf(H.numerator) / H.denominator * mpmath.e ** (
-            checks.chi(b0, 120) + 3
-        )
+        if b0_primes is None:
+            chi = checks.chi(b0, 120)
+        else:
+            chi = mpmath.fsum(mpmath.log(p) / (p - 1) for p in b0_primes)
+        base = 8 * b0 * mpmath.mpf(H.numerator) / H.denominator * mpmath.e ** (chi + 3)
         expo = 1 + e + (2 - (m - 1) * e) / (e**m * factorial(m - 1))
         C0 = base ** (e * (1 - mpmath.log(e))) * Phi**expo
         ln_a2, ln_a1 = mpmath.log(xi.denominator), mpmath.log(abs(xi.numerator))
@@ -414,6 +418,44 @@ def test_theorem6_reports_accurate_midpoints(digits):
                 tol = mpmath.mpf(10) ** (6 - digits)
                 for got, want in pairs:
                     assert abs(got - want) <= tol * abs(want)
+
+
+# two primes far past TRIAL_LIMIT, and two just past it, where the widening
+# ln(S)/TRIAL_LIMIT is nearly the primes' own share of chi
+@pytest.mark.parametrize("p, q", [(10**15 + 37, 10**15 + 91), (1000003, 1000033)])
+def test_theorem6_widens_chi_over_an_unfactored_cofactor(p, q):
+    # b0 = 2 S with S = p q: trial division finds only 2, and chi(b0) is
+    # widened over S; the proved exponent stays above the true eta0,
+    # computed from all three primes
+    S = p * q
+    params = HyperParams.of([F(1, S)], [F(1, 2)])
+    xi, eps = F(1, 10**44), F(1, 10)
+    start = time.perf_counter()
+    rep = hyper.theorem6(params, xi, eps)
+    assert time.perf_counter() - start < 2
+    assert rep.b0 == 2 * S
+    assert rep.decisive and rep.irrational
+    _, _, eta0 = _theorem6_oracle(params, xi, eps, b0_primes=[2, p, q])
+    assert eta0 is not None
+    with mpmath.workdps(120):
+        assert rep.measure_exponent >= eta0
+        assert rep.measure_exponent - eta0 < mpmath.mpf(10) ** -4
+
+
+def test_theorem6_widening_never_rejects_what_the_true_chi_proves():
+    # xi = 1/a2 just past the threshold that the true chi(b0) gives (the
+    # log-margin is 10^-5 there, below the widening's 0.33 ln(S)/10^6): the
+    # criterion holds, so no verdict may come out decisively negative
+    primes = [2, 10**15 + 37, 10**15 + 91]
+    params = HyperParams.of([F(1, primes[1] * primes[2])], [F(1, 2)])
+    eps = F(1, 10)
+    _, C0, _ = _theorem6_oracle(params, F(1, 10), eps, b0_primes=primes)
+    with mpmath.workdps(120):
+        # m = 1, a1 = 1: the log-margin is (1 - 3 eps) ln a2 - ln C0
+        a2 = int(mpmath.ceil(mpmath.exp((mpmath.log(C0) + mpmath.mpf(10) ** -5) * 10 / 7)))
+    assert _theorem6_oracle(params, F(1, a2), eps, b0_primes=primes)[2] is not None
+    rep = hyper.theorem6(params, F(1, a2), eps)
+    assert rep.irrational or not rep.decisive
 
 
 def test_theorem6_report_json():
