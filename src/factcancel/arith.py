@@ -12,6 +12,7 @@ lcm_upto, prime_power_product, chi and g_k_exponent) are in ``checks``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable
@@ -57,6 +58,12 @@ def _sieve(n: int) -> bytearray:
     return flags
 
 
+@cache
+def _small_sieve() -> bytearray:
+    """is_prime's flags for n < 2**16, sieved on first use."""
+    return _sieve(2**16 - 1)
+
+
 def prime_pi(n: int) -> int:
     """pi(n), the number of primes <= n: the sieve's flags counted, no list
     built."""
@@ -87,12 +94,13 @@ def small_prime_factors(b: int) -> tuple[list[int], int]:
 
 
 def is_prime(n: int) -> bool:
-    """Primality by small_prime_factors, exact for n < TRIAL_LIMIT**2 and
-    for every n with a prime factor <= TRIAL_LIMIT.  A larger n without one
-    raises ValueError: trial division cannot tell a prime from a product of
-    large primes, so it answers neither."""
-    if n < 2:
-        return False
+    """Primality: a sieve lookup below 2**16, above it by small_prime_factors,
+    exact for n < TRIAL_LIMIT**2 and for every n with a prime factor <=
+    TRIAL_LIMIT.  A larger n without one raises ValueError: trial division
+    cannot tell a prime from a product of large primes, so it answers
+    neither."""
+    if n < 2**16:
+        return n > 1 and bool(_small_sieve()[n])
     primes, _ = small_prime_factors(n)
     if not primes:
         raise ValueError(f"{n} has no prime factor <= {TRIAL_LIMIT}: primality undecided")

@@ -43,6 +43,11 @@ def tau_p(p: int, k: int) -> int:
     """
     if not arith.is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    return _legendre(p, k)
+
+
+def _legendre(p: int, k: int) -> int:
+    """tau_p(k) for a p its caller knows to be prime."""
     if k < 0:
         raise ValueError("k must be >= 0")
     total, q = 0, p
@@ -65,7 +70,7 @@ def prime_power_product(b: int, k: int) -> int:
     out = 1
     for p in primes_upto(min(b, k)):
         if b % p == 0:
-            out *= p ** tau_p(p, k)
+            out *= p ** _legendre(p, k)
     return out
 
 
@@ -495,9 +500,9 @@ def lemma19_inequality(s, p: int) -> bool:
     """sum_i s_i tau_p(i) <= tau_p(sum_i i s_i), exactly."""
     if not arith.is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    lhs = sum(si * tau_p(p, i) for i, si in enumerate(s, start=1))
+    lhs = sum(si * _legendre(p, i) for i, si in enumerate(s, start=1))
     n = sum(i * si for i, si in enumerate(s, start=1))
-    return lhs <= tau_p(p, n)
+    return lhs <= _legendre(p, n)
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,13 @@ from typing import Iterator
 
 from . import arith, falling
 from .certificate import CancellationCertificate, certify
-from .errors import DimensionMismatch, IrrationalSpectrum, SingularT
+from .errors import DimensionMismatch, IrrationalSpectrum
 from .matfun import (
     MatQ,
     _compositions,
-    _eigenvalues,
-    _integer_form,
-    _kernel,
-    _mat_vec,
-    _primitive_chain,
     bracket_table,
     commuting_check,
+    simultaneous_eigenbasis,
     spectral,
 )
 
@@ -256,52 +252,6 @@ def qn_via_brackets(system: FuchsianSystem, n: int) -> PolyMat:
 
 
 # ---------------------------------------------------------------------------
-# simultaneous diagonalization (sharp t1 t2 for commuting families)
-
-
-def simultaneous_eigenbasis(mats: list[MatQ]) -> MatQ:
-    """One invertible T with every T^{-1} A T diagonal; requires pairwise
-    commuting, individually diagonalizable matrices with rational spectra.
-
-    Works over Z like matfun.spectral: each A enters as B = qA, the common
-    eigenspaces are refined by integer kernels (their dimensions add up, so
-    T is invertible), and every column t of the integer T is checked as
-    B t = mu t."""
-    if not mats:
-        raise ValueError("need at least one matrix")
-    size = mats[0].size
-    ints = [_integer_form(A)[1] for A in mats]
-    # (eigenvalue of each B so far, integer basis of the common eigenspace)
-    spaces = [((), [[int(i == j) for i in range(size)] for j in range(size)])]
-    for B in ints:
-        roots, rest = _eigenvalues(B)
-        if len(rest) > 1:
-            raise IrrationalSpectrum("non-rational eigenvalue")
-        nxt = []
-        for mus, S in spaces:
-            found = 0
-            for mu in roots:
-                # kernel of (B - mu E) restricted to span(S)
-                images = [[x - mu * y for x, y in zip(_mat_vec(B, v), v)] for v in S]
-                sub = []
-                for cs in _kernel([list(col) for col in zip(*images)]):
-                    w = [sum(c * v[i] for c, v in zip(cs, S)) for i in range(size)]
-                    sub.append(_primitive_chain([w])[0])
-                if sub:
-                    nxt.append((mus + (mu,), sub))
-                    found += len(sub)
-            if found != len(S):
-                raise SingularT("matrix is not diagonalizable")
-        spaces = nxt
-    columns = [t for _, S in spaces for t in S]
-    for mus, S in spaces:
-        for t in S:
-            if any(_mat_vec(B, t) != [mu * x for x in t] for B, mu in zip(ints, mus)):
-                raise SingularT("simultaneous diagonalization failed")
-    return MatQ(list(zip(*columns)))
-
-
-# ---------------------------------------------------------------------------
 # certificates
 
 
@@ -309,28 +259,27 @@ def certify_system(system: FuchsianSystem, k: int) -> CancellationCertificate:
     """psi_k = exact lcm over n <= k of coefficient denominators of
     T^n Q^[n]/n!.  For pairwise commuting residues with rational spectra the
     certificate also carries the divisor bound
-    t1 t2 (q b)^k d_k^{sum(r_i - 1)} prod_{p|b} p^{tau_p(k)}
-    (q = product of pole denominators); otherwise it is measurement-only.
+    t (q b)^k d_k^{sum(r_i - 1)} prod_{p|b} p^{tau_p(k)}
+    (q = product of pole denominators; t = den(T) den(T^-1) for the common
+    eigenbasis T of diagonalizable residues, else the product of their
+    t1 t2); otherwise it is measurement-only.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     dens = (D for _, D in _scaled_qn(system, k))
-    datas = None
-    if commuting_check(list(system.residues)):
-        try:
-            datas = [spectral(A) for A in system.residues]
-        except IrrationalSpectrum:
-            pass
-    if datas is None:
+    if not commuting_check(system.residues):
+        return certify(k, dens, None)
+    try:
+        datas = [spectral(A) for A in system.residues]
+    except IrrationalSpectrum:
         return certify(k, dens, None)
     b = lcm(*(data.b for data in datas))
     q = prod(g.denominator for g in system.gammas)
-    r_max = max(data.r_max for data in datas)
-    if r_max == 1:
-        T_sim = simultaneous_eigenbasis(list(system.residues))
-        t = T_sim.entry_denominator() * T_sim.inverse().entry_denominator()
-        d_exp = 0
+    d_exp = sum(data.r_max - 1 for data in datas)
+    if d_exp == 0:  # every residue diagonalizable: the common eigenbasis
+        T = simultaneous_eigenbasis(system.residues, datas)
+        t = T.entry_denominator() * T.inverse().entry_denominator()
     else:
         t = prod(data.t1 * data.t2 for data in datas)
-        d_exp = sum(data.r_max - 1 for data in datas)
-    return certify(k, dens, b, base=q, d_exp=d_exp, scale=t, shift=r_max - 1)
+    shift = max(data.r_max for data in datas) - 1
+    return certify(k, dens, b, base=q, d_exp=d_exp, scale=t, shift=shift)

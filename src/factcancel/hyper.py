@@ -25,7 +25,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 from typing import Optional
 
 from . import arith
@@ -44,8 +44,9 @@ def _fr(x) -> Fraction:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Upper parameters alpha and (unshifted) lower parameters beta; the
-    series uses beta_j + 1 downstairs, so beta_j must avoid {-1, -2, ...}."""
+    """m >= 1 upper parameters alpha and (unshifted) lower parameters beta;
+    the series uses beta_j + 1 downstairs, so beta_j must avoid
+    {-1, -2, ...}."""
 
     m: int
     alpha: tuple
@@ -56,6 +57,8 @@ class HyperParams:
         be = tuple(_fr(b) for b in self.beta)
         object.__setattr__(self, "alpha", al)
         object.__setattr__(self, "beta", be)
+        if self.m < 1:
+            raise ValueError("need at least one upper and one lower parameter")
         if len(al) != self.m or len(be) != self.m:
             raise ValueError("need m upper and m lower parameters")
         for b in be:
@@ -372,16 +375,15 @@ def _frac(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-def _is_full_coset(values, mm: int) -> Optional[Fraction]:
-    """If the multiset of fractional parts is {w + i/mm mod 1 : i < mm},
-    return w (the common fractional part of mm*value); else None."""
-    fr = sorted(_frac(v) for v in values)
-    if len(set(fr)) != mm:
+def _anchor(values, n: int) -> Optional[Fraction]:
+    """If the fractional parts of the n values are n distinct points of one
+    coset {w + i/n mod 1}, the coset's anchor frac(n w), the one value of
+    frac(n v); else None.  x lies in that coset exactly when
+    frac(n x) = frac(n w)."""
+    if len({_frac(v) for v in values}) != n:
         return None
-    anchors = {_frac(v * mm) for v in values}
-    if len(anchors) != 1:
-        return None
-    return min(fr)
+    anchors = {_frac(n * v) for v in values}
+    return anchors.pop() if len(anchors) == 1 else None
 
 
 def _equiv(xs, ys) -> bool:
@@ -391,26 +393,21 @@ def _equiv(xs, ys) -> bool:
 
 
 def _belyi_pair_exists(split_side, coset_side, m: int) -> bool:
-    """Does some (m1, m2) split of split_side into two arithmetic families
-    u/m1-type and v/m2-type exist with coset_side matching the (u+v)/m
-    family, for compatible u, v?"""
-    if not _is_full_coset(coset_side, m):
+    """Does some split of split_side into two arithmetic families, cosets
+    of (1/m1)Z and (1/m2)Z with m1 + m2 = m and anchors w1 and w2, match
+    coset_side, a coset of (1/m)Z with anchor w?  The family
+    (m1 u + m2 v + i)/m built from points u and v of the two cosets has
+    anchor frac(m1 u + m2 v) = w1 + w2 mod 1, so it is coset_side exactly
+    when w1 + w2 = w mod 1."""
+    w = _anchor(coset_side, m)
+    if w is None:
         return False
-    coset_fracs = {_frac(v) for v in coset_side}
-    idx = range(m)
     for m1 in range(1, m):
-        m2 = m - m1
-        g = gcd(m1, m2)
-        for subset in itertools.combinations(idx, m1):
-            rest = [i for i in idx if i not in subset]
-            w1 = _is_full_coset([split_side[i] for i in subset], m1)
-            w2 = _is_full_coset([split_side[i] for i in rest], m2)
-            if w1 is None or w2 is None:
-                continue
-            S = m1 * w1 + m2 * w2
-            for t in range(m // g):
-                if _frac(Fraction(S + g * t, m) * 1) in coset_fracs:
-                    return True
+        for subset in itertools.combinations(range(m), m1):
+            w1 = _anchor([split_side[i] for i in subset], m1)
+            w2 = _anchor([v for i, v in enumerate(split_side) if i not in subset], m - m1)
+            if w1 is not None and w2 is not None and _frac(w1 + w2) == w:
+                return True
     return False
 
 

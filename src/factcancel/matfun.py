@@ -1,7 +1,8 @@
 """Exact linear algebra over Q.
 
 Jordan decomposition for matrices with rational spectrum (computed
-fraction-free on the integer matrix qA, as integer coefficient lists), the
+fraction-free on the integer matrix qA, as integer coefficient lists) and
+the common eigenbasis it refines for commuting diagonalizable matrices, the
 matrix binomial polynomials Delta_n(A), the table of the noncommutative
 multivariate falling-factorial bracket, and the per-k denominator
 certificate psi_k | t1 t2 b^k d_k^{r-1} prod p^{tau_p(k)}.  The oracles
@@ -570,6 +571,47 @@ def spectral(A: MatQ) -> SpectralData:
         t2=jordan_T_inv.entry_denominator(),
         b=arith.common_denominator(eigenvalues),
     )
+
+
+def simultaneous_eigenbasis(mats: list[MatQ], datas: list[SpectralData]) -> MatQ:
+    """One invertible T with every T^{-1} A T diagonal, for pairwise
+    commuting diagonalizable matrices mats with datas[i] = spectral(mats[i])
+    (ValueError unless mats is non-empty and datas matches it one to one).
+
+    Works over Z like spectral, and solves no eigenproblem again: the first
+    matrix's eigenvectors (the columns of its jordan_T, one group per
+    eigenvalue) are split by each later B = qA's known integer eigenvalues
+    mu = lambda q into the integer kernels of B - mu E within each group
+    (their dimensions must add up, so T is invertible), and every column t
+    of the integer T is checked as B t = mu t."""
+    if not mats or len(datas) != len(mats):
+        raise ValueError("need at least one matrix and one SpectralData per matrix")
+    if any(data.r_max > 1 for data in datas):
+        raise SingularT("matrix is not diagonalizable")
+    ints = [_integer_form(A) for A in mats]
+    mus = [[int(lam * q) for lam in data.eigenvalues] for (q, _), data in zip(ints, datas)]
+    # (eigenvalue of each B so far, integer basis of the common eigenspace)
+    columns = iter(zip(*datas[0].jordan_T.rows))
+    spaces = [((mu,), [[x.numerator for x in next(columns)] for _ in sizes])
+              for mu, sizes in zip(mus[0], datas[0].block_sizes)]
+    for (_, B), roots in zip(ints[1:], mus[1:]):
+        nxt = []
+        for prev, S in spaces:
+            for mu in roots:
+                # kernel of (B - mu E) restricted to span(S)
+                images = [[x - mu * y for x, y in zip(_mat_vec(B, v), v)] for v in S]
+                sub = [_primitive_chain([_mat_vec(list(zip(*S)), cs)])[0]
+                       for cs in _kernel([list(col) for col in zip(*images)])]
+                if sub:
+                    nxt.append((prev + (mu,), sub))
+        if sum(len(S) for _, S in nxt) != len(ints[0][1]):
+            raise SingularT("the matrices have no common eigenbasis")
+        spaces = nxt
+    for prev, S in spaces:
+        for t in S:
+            if any(_mat_vec(B, t) != [mu * x for x in t] for (_, B), mu in zip(ints, prev)):
+                raise SingularT("simultaneous diagonalization failed")
+    return MatQ(list(zip(*(t for _, S in spaces for t in S))))
 
 
 # ---------------------------------------------------------------------------

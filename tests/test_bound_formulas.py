@@ -65,6 +65,23 @@ _SYSTEMS = {
 }
 
 
+# bound_k of the diagonalizable systems at KS, pinned so that a changed
+# common eigenbasis T (whose den(T) den(T^-1) is t) shows
+_EIGENBASIS_BOUNDS = {
+    "eigenbasis": (12, 5159780352, 6593786494438050175804174761984),
+    "eigenbasis_3x3": (
+        30,
+        15746400000000,
+        374813367582081024000000000000000000000000,
+    ),
+    "eigenbasis_fractional_poles": (
+        240,
+        3669177139200000000,
+        65863495153100450590078097424384000000000000000000000000,
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(_SYSTEMS))
 @pytest.mark.parametrize("k", KS)
 def test_fuchsian_bound_formula(name, k):
@@ -75,7 +92,7 @@ def test_fuchsian_bound_formula(name, k):
     for g in system.gammas:
         q *= g.denominator
     if all(data.r_max == 1 for data in datas):
-        T = fuchs.simultaneous_eigenbasis(list(system.residues))
+        T = matfun.simultaneous_eigenbasis(system.residues, datas)
         t = T.entry_denominator() * T.inverse().entry_denominator()
         d_exp = 0
     else:
@@ -85,6 +102,8 @@ def test_fuchsian_bound_formula(name, k):
         d_exp = sum(data.r_max - 1 for data in datas)
     assert (d_exp > 0) == name.startswith("jordan")
     want = _formula(t, q, b, k, d_exp)
+    if name in _EIGENBASIS_BOUNDS:
+        assert want == _EIGENBASIS_BOUNDS[name][KS.index(k)]
     assert fuchs.certify_system(system, k).bound_k == want
 
 

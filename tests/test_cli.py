@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -296,53 +297,56 @@ def test_hostile_denominator_theorem6_finishes_fast():
 # denominator near 10**9: the spectral root search lifts roots modulo a
 # small prime instead of factoring det(qA), so its cost grows only with the
 # number of digits.
-_json_rat = st.integers(-(10**6), 10**6) | st.sampled_from(
-    ["1/2", "-2/3", "3/4", "1/3", "9e9", "-7e9", "5e-3", "1e-9", "7/900000007"]
-)
-_json_leaf = (
-    _json_rat
-    | st.none()
-    | st.booleans()
-    | st.sampled_from(["1/0", "x", ""])
-    | st.text(alphabet="0123456789/-. x", max_size=3)
-)
-_json_any = st.recursive(
-    _json_leaf,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(
-        st.sampled_from(["m", "gammas", "residues", "augmented", "alpha", "beta"])
-        | st.text(max_size=2),
-        inner,
-        max_size=4,
-    ),
-    max_leaves=12,
-)
+_RATS = ["1/2", "-2/3", "3/4", "1/3", "9e9", "-7e9", "5e-3", "1e-9", "7/900000007"]
 
 
-def _json_matrices(size, count):
-    row = st.lists(_json_rat, min_size=size, max_size=size)
-    matrix = st.lists(row, min_size=size, max_size=size)
-    return st.lists(matrix, min_size=count, max_size=count)
-
-
-_json_system = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
-    lambda sc: st.fixed_dictionaries(
-        {
-            "gammas": st.lists(_json_rat, min_size=sc[1], max_size=sc[1]),
-            "residues": _json_matrices(*sc),
-        },
-        optional={"m": _json_leaf, "augmented": _json_leaf},
+def _json_values(rats):
+    rat = st.integers(-(10**6), 10**6) | st.sampled_from(rats)
+    leaf = (
+        rat
+        | st.none()
+        | st.booleans()
+        | st.sampled_from(["1/0", "x", ""])
+        | st.text(alphabet="0123456789/-. x", max_size=3)
     )
-)
-_json_params = st.fixed_dictionaries(
-    {"alpha": st.lists(_json_rat, max_size=3), "beta": st.lists(_json_rat, max_size=3)}
-)
-_json_value = st.one_of(
-    _json_any,
-    st.integers(1, 3).flatmap(lambda n: _json_matrices(n, 1)).map(lambda ms: ms[0]),
-    _json_system,
-    _json_params,
-)
+    any_ = st.recursive(
+        leaf,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(
+            st.sampled_from(["m", "gammas", "residues", "augmented", "alpha", "beta"])
+            | st.text(max_size=2),
+            inner,
+            max_size=4,
+        ),
+        max_leaves=12,
+    )
+
+    def matrices(size, count):
+        row = st.lists(rat, min_size=size, max_size=size)
+        matrix = st.lists(row, min_size=size, max_size=size)
+        return st.lists(matrix, min_size=count, max_size=count)
+
+    system = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda sc: st.fixed_dictionaries(
+            {
+                "gammas": st.lists(rat, min_size=sc[1], max_size=sc[1]),
+                "residues": matrices(*sc),
+            },
+            optional={"m": leaf, "augmented": leaf},
+        )
+    )
+    params = st.fixed_dictionaries(
+        {"alpha": st.lists(rat, max_size=3), "beta": st.lists(rat, max_size=3)}
+    )
+    return st.one_of(
+        any_,
+        st.integers(1, 3).flatmap(lambda n: matrices(n, 1)).map(lambda ms: ms[0]),
+        system,
+        params,
+    )
+
+
+_json_value = _json_values(_RATS)
 
 
 @settings(max_examples=150, deadline=None)
@@ -358,6 +362,38 @@ def test_file_inputs_end_in_documented_exit_code(tmp_path_factory, value, target
         argv = ["hyper", "series", "--file", str(f), "--N", str(k)]
     else:
         argv = ["certify", target, "--file", str(f), "--k", str(k), "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+# theorem6 encloses rho(b) for each beta denominator b with arith.rho_exact,
+# which is O(b) (ROADMAP item 5's open rho half), so its inputs keep
+# denominators below 10**4: "1e-9" and "7/900000007" would run for minutes.
+_json_value_small_den = _json_values([r for r in _RATS if Fraction(r).denominator < 10**4])
+
+
+_HYPER_FUZZ = {
+    "system": (["--N", "{k}"], _json_value),
+    "lemma11": (["--k", "{k}"], _json_value),
+    "conditions": ([], _json_value),
+    "theorem6": (
+        ["--xi", "1/100000", "--epsilon", "1/10", "--precision", "{k}"],
+        _json_value_small_den,
+    ),
+}
+
+
+@pytest.mark.parametrize("target", _HYPER_FUZZ)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3))
+def test_hyper_file_inputs_end_in_documented_exit_code(tmp_path_factory, target, data, k):
+    extra, values = _HYPER_FUZZ[target]
+    f = tmp_path_factory.getbasetemp() / "fuzz.json"
+    f.write_text(json.dumps(data.draw(values)))
+    argv = ["hyper", target, "--file", str(f), *(a.format(k=k) for a in extra)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

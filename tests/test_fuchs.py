@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -7,18 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factcancel import catalog, falling, fuchs
-from factcancel.errors import FactCancelError, NotCommuting
+from factcancel import catalog, falling, fuchs, matfun
+from factcancel.errors import FactCancelError, NotCommuting, SingularT
 from factcancel.fuchs import (
     FuchsianSystem,
     PolyMat,
     certify_system,
     qn_recurrence,
     qn_via_brackets,
-    simultaneous_eigenbasis,
 )
 from factcancel.checks import operator_identity_14, operator_identity_16, operator_identity_24
-from factcancel.matfun import MatQ, _integer_form, commuting_check
+from factcancel.matfun import MatQ, _integer_form, commuting_check, simultaneous_eigenbasis, spectral
 from factcancel.poly import UniPoly
 
 F = Fraction
@@ -183,7 +184,7 @@ def test_simultaneous_eigenbasis():
     B = MatQ.diagonal([F(1, 4), F(-1, 6)])
     U = catalog.unimodular(2, random.Random(5))
     mats = [U @ A @ U.inverse(), U @ B @ U.inverse()]
-    T = simultaneous_eigenbasis(mats)
+    T = simultaneous_eigenbasis(mats, [spectral(M) for M in mats])
     T_inv = T.inverse()
     for M in mats:
         C = T_inv @ M @ T
@@ -193,7 +194,46 @@ def test_simultaneous_eigenbasis():
                     assert C[i, j] == 0
 
 
+def test_simultaneous_eigenbasis_rejects_noncommuting():
+    # each matrix is diagonalizable, but no basis diagonalizes both
+    mats = [MatQ.diagonal([1, 2]), MatQ([[1, 1], [0, 2]])]
+    with pytest.raises(SingularT):
+        simultaneous_eigenbasis(mats, [spectral(M) for M in mats])
+    with pytest.raises(SingularT):
+        simultaneous_eigenbasis(mats[::-1], [spectral(M) for M in mats[::-1]])
+
+
+def test_simultaneous_eigenbasis_needs_one_spectral_data_per_matrix():
+    mats = [MatQ.diagonal([1, 2]), MatQ.diagonal([3, 4])]
+    for datas in ([], [spectral(mats[0])], [spectral(M) for M in mats * 2]):
+        with pytest.raises(ValueError):
+            simultaneous_eigenbasis(mats, datas)
+    with pytest.raises(ValueError):
+        simultaneous_eigenbasis([], [])
+
+
 # certificates
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_certify_system_solves_each_eigenproblem_once(i, monkeypatch):
+    system = catalog.fuchsian_catalog()[i]
+    calls = []
+    eigenvalues = matfun._eigenvalues
+    monkeypatch.setattr(matfun, "_eigenvalues", lambda B: calls.append(B) or eigenvalues(B))
+    assert certify_system(system, 5).bound_k is not None
+    assert len(calls) == system.npoles
+
+
+def test_fuchs_imports_no_matfun_private_but_compositions():
+    tree = ast.parse(inspect.getsource(fuchs))
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "matfun"
+        for alias in node.names
+    }
+    assert {n for n in names if n.startswith("_")} == {"_compositions"}
 
 
 @pytest.mark.parametrize("i", range(3))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factcancel import arith, catalog, checks, hyper
@@ -248,6 +248,93 @@ def test_condition2_belyi_family():
     p = HyperParams.of([F(1, 2), F(1, 3)], [F(5, 12), F(11, 12)])
     rep = hyper.check_conditions(p)
     assert not rep.belyi
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        # beta is the 1/2-coset of 0, alpha two 1/1-cosets whose anchors
+        # sum to 0; the second pair is the first shifted by 1/4
+        ([F(-1, 12), F(1, 12)], [F(0), F(1, 2)]),
+        ([F(1, 6), F(1, 3)], [F(1, 4), F(3, 4)]),
+        # m = 3: beta the 1/3-coset of 0, and the same shifted by 1/12
+        ([F(1, 12), F(7, 12), F(5, 6)], [F(0), F(1, 3), F(2, 3)]),
+        ([F(1, 6), F(2, 3), F(11, 12)], [F(1, 12), F(5, 12), F(3, 4)]),
+    ],
+)
+def test_condition2_belyi_coset_through_an_integer(alpha, beta):
+    rep = hyper.check_conditions(HyperParams.of(alpha, beta))
+    assert not rep.belyi
+    assert "arithmetic-progression family match found" in rep.diagnostics
+    assert 2 in rep.failed()
+
+
+_cond_rat = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 12]))
+_cond_params = st.integers(1, 4).flatmap(
+    lambda m: st.tuples(
+        st.lists(_cond_rat, min_size=m, max_size=m), st.lists(_cond_rat, min_size=m, max_size=m)
+    )
+)
+
+
+@st.composite
+def _belyi_family(draw):
+    """A Belyi match: cosets u + i/m1 and v + j/m2 on one side, the coset
+    (m1 u + m2 v)/m + l/m on the other, each point moved by an integer."""
+    m1, m2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    u, v = draw(_cond_rat), draw(_cond_rat)
+    m = m1 + m2
+    moves = st.integers(-1, 1)
+    split = [u + F(i, m1) + draw(moves) for i in range(m1)]
+    split += [v + F(j, m2) + draw(moves) for j in range(m2)]
+    coset = [(m1 * u + m2 * v + l) / m + draw(moves) for l in range(m)]
+    split, coset = draw(st.permutations(split)), draw(st.permutations(coset))
+    return (split, coset) if draw(st.booleans()) else (coset, split)
+
+
+def _flags(rep):
+    return rep.linear, rep.belyi, rep.kummer, rep.gamma_nonintegral
+
+
+def _valid_beta(beta):
+    return all(b.denominator > 1 or b > -1 for b in beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_cond_params, _belyi_family()), _cond_rat)
+@example(([F(1, 6), F(1, 3)], [F(1, 4), F(3, 4)]), F(-1, 4))
+def test_conditions_do_not_change_under_a_common_shift(alpha_beta, c):
+    alpha, beta = alpha_beta
+    assume(_valid_beta(beta) and _valid_beta([b + c for b in beta]))
+    rep = hyper.check_conditions(HyperParams.of(alpha, beta))
+    shifted = hyper.check_conditions(
+        HyperParams.of([a + c for a in alpha], [b + c for b in beta])
+    )
+    assert _flags(shifted) == _flags(rep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_belyi_family())
+def test_every_belyi_family_is_found(alpha_beta):
+    assume(_valid_beta(alpha_beta[1]))
+    assert not hyper.check_conditions(HyperParams.of(*alpha_beta)).belyi
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_cond_params, _belyi_family()))
+def test_a_belyi_match_makes_two_gamma_odd(alpha_beta):
+    # a match's split side sums to S + (m - 2)/2 mod 1, its coset side to
+    # m w + (m - 1)/2 with S = m w mod 1: gamma = 1/2 mod 1
+    assume(_valid_beta(alpha_beta[1]))
+    rep = hyper.check_conditions(HyperParams.of(*alpha_beta))
+    assert rep.belyi or not rep.gamma_nonintegral
+
+
+def test_params_need_at_least_one_parameter():
+    with pytest.raises(ValueError):
+        HyperParams.of([], [])
+    with pytest.raises(ValueError):
+        HyperParams.from_json('{"alpha": [], "beta": []}')
 
 
 # theorem 6

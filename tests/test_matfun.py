@@ -29,6 +29,7 @@ from factcancel.matfun import (
     commuting_check,
     matrix_delta_table,
     rational_roots_monic,
+    simultaneous_eigenbasis,
     spectral,
 )
 from factcancel.poly import UniPoly
@@ -270,6 +271,44 @@ def test_rational_roots_monic_matches_enumeration(roots, tail):
     want, want_rest = _roots_by_enumeration(p)
     assert got == want
     assert rest == want_rest
+
+
+_eigen_pool = st.lists(st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 6])),
+                      min_size=2, max_size=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=2, max_size=3),
+        )
+    ),
+    _eigen_pool,
+)
+def test_simultaneous_eigenbasis_is_a_primitive_common_eigenbasis(drawn, pool):
+    # commuting diagonalizable P D_i P^-1 with eigenvalues from a pool of
+    # two, so common eigenspaces of dimension above 1 are frequent
+    rows, picks = drawn
+    P = MatQ(rows)
+    try:
+        P_inv = P.inverse()
+    except SingularT:
+        return
+    mats = [P @ MatQ.diagonal([pool[i] for i in pick]) @ P_inv for pick in picks]
+    T = simultaneous_eigenbasis(mats, [spectral(A) for A in mats])
+    n = len(rows)
+    assert T.entry_denominator() == 1
+    assert T @ T.inverse() == MatQ.identity(n)
+    for t in zip(*T.rows):
+        assert gcd(*(x.numerator for x in t)) == 1
+        assert next(x for x in t if x) > 0
+        col = MatQ([[x] for x in t])
+        for A in mats:
+            image = A @ col
+            i = next(i for i, x in enumerate(t) if x)
+            assert image == col.scale(image[i, 0] / t[i])
 
 
 @given(st.integers(2, 4), st.integers(0, 8))
